@@ -333,12 +333,6 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 	}
 
 	cfg := a.cfg
-	toCPT := func(c *core.Counts) (*core.CPT, error) {
-		if cfg.alpha > 0 {
-			return c.Smoothed(cfg.alpha, false)
-		}
-		return c.Empirical(), nil
-	}
 	estimator := "empirical (Eq. 6)"
 	if cfg.alpha > 0 {
 		estimator = fmt.Sprintf("Dirichlet-smoothed, alpha=%g (Eq. 7)", cfg.alpha)
@@ -357,58 +351,71 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 		LadderFallbackReason: ladderFallback,
 	}
 
-	fullCPT, err := toCPT(counts)
+	fullCPT, err := counts.Estimate(cfg.alpha)
 	if err != nil {
 		return nil, err
 	}
-	full, err := core.Epsilon(fullCPT)
-	if err != nil {
-		return nil, err
+	// ε is metric 0; each requested metric follows it. One pass measures
+	// every metric's value and witness on the full intersection, one
+	// lattice walk its subset ladder, and one set of resampled tables or
+	// posterior draws its uncertainty.
+	ms := append([]core.Metric{core.DFEpsilon}, cfg.metrics...)
+	secs := make([]MetricReport, len(ms))
+	for j, m := range ms {
+		res, err := m.Eval(fullCPT)
+		if err != nil {
+			if j == 0 {
+				return nil, err
+			}
+			return nil, fmt.Errorf("fairness: metric %s: %w", m.Key(), err)
+		}
+		secs[j] = MetricReport{
+			Key:           m.Key(),
+			Description:   m.Describe(),
+			HigherIsWorse: m.HigherIsWorse(),
+			Value:         JSONFloat(res.Value),
+			Finite:        res.Finite,
+			Witness:       witnessLabels(space, outcomes, res.Witness),
+		}
 	}
-	rep.Epsilon = JSONFloat(full.Epsilon)
-	rep.Finite = full.Finite
-	rep.Witness = witnessLabels(space, outcomes, full.Witness)
-	interp := core.Interpret(full.Epsilon)
-	rep.Interpretation = ReportInterpretation{
-		MaxUtilityFactor:               JSONFloat(interp.MaxUtilityFactor),
-		HighFairnessRegime:             interp.HighFairnessRegime,
-		StrongerThanRandomizedResponse: interp.StrongerThanRandomizedResponse,
-	}
-	rep.SubsetBound = JSONFloat(core.SubsetBound(full))
 
 	if cfg.subsets {
-		// The subset ladder shares marginalization work along the lattice
-		// (each subset's counts derived from a one-attribute-larger
-		// parent) instead of re-aggregating the full table 2^p times —
-		// unless the caller already maintains the ladder incrementally,
-		// in which case it arrives precomputed.
-		subs := ladder
-		if subs == nil {
-			subs, err = core.EpsilonSubsetsCounts(counts, cfg.alpha)
-			if err != nil {
+		// The walk shares marginalization work along the lattice — unless
+		// the caller already maintains the ε ladder incrementally, in
+		// which case ε's arrives precomputed and only the other metrics
+		// walk.
+		walk := ms
+		if ladder != nil {
+			walk = ms[1:]
+		}
+		var ladders [][]core.SubsetMetric
+		if len(walk) > 0 {
+			if ladders, err = core.MetricSubsetsCounts(walk, counts, cfg.alpha); err != nil {
 				return nil, err
 			}
 		}
-		core.SortSubsetsByEpsilon(subs)
-		for _, s := range subs {
-			rep.Ladder = append(rep.Ladder, LadderRow{
-				Attrs:   s.Attrs,
-				Epsilon: JSONFloat(s.Result.Epsilon),
-				Finite:  s.Result.Finite,
-				Witness: witnessLabels(s.Space, outcomes, s.Result.Witness),
-			})
+		if ladder != nil {
+			eps := make([]core.SubsetMetric, len(ladder))
+			for i, s := range ladder {
+				eps[i] = core.SubsetMetric{Attrs: s.Attrs, Result: s.Result.AsMetric(), Space: s.Space}
+			}
+			ladders = append([][]core.SubsetMetric{eps}, ladders...)
 		}
-	} else {
-		rep.Ladder = append(rep.Ladder, LadderRow{
-			Attrs:   attrNames(space),
-			Epsilon: JSONFloat(full.Epsilon),
-			Finite:  full.Finite,
-			Witness: rep.Witness,
-		})
+		for j, m := range ms {
+			core.SortSubsetsByMetricValue(m, ladders[j])
+			for _, s := range ladders[j] {
+				secs[j].Ladder = append(secs[j].Ladder, MetricLadderRow{
+					Attrs:   s.Attrs,
+					Value:   JSONFloat(s.Result.Value),
+					Finite:  s.Result.Finite,
+					Witness: witnessLabels(s.Space, outcomes, s.Result.Witness),
+				})
+			}
+		}
 	}
 
 	if cfg.bootstrapB > 0 {
-		iv, err := resample.EpsilonBootstrap(ctx, counts, cfg.alpha,
+		ivs, err := resample.Bootstrap(ctx, ms, counts, cfg.alpha,
 			cfg.bootstrapB, cfg.bootstrapLevel, rng.New(cfg.seed), cfg.workers)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -416,12 +423,14 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 			}
 			return nil, fmt.Errorf("fairness: bootstrap: %w", err)
 		}
-		rep.Bootstrap = &BootstrapReport{
-			Replicates:    cfg.bootstrapB,
-			Level:         JSONFloat(iv.Level),
-			Lo:            JSONFloat(iv.Lo),
-			Hi:            JSONFloat(iv.Hi),
-			InfiniteShare: JSONFloat(iv.InfiniteShare),
+		for j, iv := range ivs {
+			secs[j].Bootstrap = &BootstrapReport{
+				Replicates:    cfg.bootstrapB,
+				Level:         JSONFloat(iv.Level),
+				Lo:            JSONFloat(iv.Lo),
+				Hi:            JSONFloat(iv.Hi),
+				InfiniteShare: JSONFloat(iv.InfiniteShare),
+			}
 		}
 	}
 
@@ -430,7 +439,7 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 		if err != nil {
 			return nil, fmt.Errorf("fairness: credible: %w", err)
 		}
-		post, err := model.EpsilonCredible(ctx, cfg.credibleB,
+		posts, err := model.Credible(ctx, ms, cfg.credibleB,
 			cfg.credibleLevel, rng.New(cfg.seed), cfg.workers)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -438,85 +447,8 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 			}
 			return nil, fmt.Errorf("fairness: credible: %w", err)
 		}
-		rep.Credible = &CredibleReport{
-			Samples:    cfg.credibleB,
-			PriorAlpha: JSONFloat(cfg.credibleAlpha),
-			Level:      JSONFloat(post.Level),
-			Mean:       JSONFloat(post.Mean),
-			Median:     JSONFloat(post.Median),
-			Lo:         JSONFloat(post.Lo),
-			Hi:         JSONFloat(post.Hi),
-			Sup:        JSONFloat(post.Sup),
-		}
-	}
-
-	// Each requested metric gets the full ε treatment: value + witness on
-	// the full intersection, the subset ladder (lattice-shared marginals),
-	// and whatever uncertainty the options request. Every metric's engine
-	// is seeded with the same cfg.seed, so all metrics are measured over
-	// exactly the same resampled tables / posterior draws as ε.
-	for _, m := range cfg.metrics {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := m.Eval(fullCPT)
-		if err != nil {
-			return nil, fmt.Errorf("fairness: metric %s: %w", m.Key(), err)
-		}
-		mr := MetricReport{
-			Key:           m.Key(),
-			Description:   m.Describe(),
-			HigherIsWorse: m.HigherIsWorse(),
-			Value:         JSONFloat(res.Value),
-			Finite:        res.Finite,
-			Witness:       witnessLabels(space, outcomes, res.Witness),
-		}
-		if cfg.subsets {
-			subs, err := core.MetricSubsetsCounts(m, counts, cfg.alpha)
-			if err != nil {
-				return nil, fmt.Errorf("fairness: metric %s: %w", m.Key(), err)
-			}
-			core.SortSubsetsByMetricValue(m, subs)
-			for _, s := range subs {
-				mr.Ladder = append(mr.Ladder, MetricLadderRow{
-					Attrs:   s.Attrs,
-					Value:   JSONFloat(s.Result.Value),
-					Finite:  s.Result.Finite,
-					Witness: witnessLabels(s.Space, outcomes, s.Result.Witness),
-				})
-			}
-		}
-		if cfg.bootstrapB > 0 {
-			iv, err := resample.MetricBootstrap(ctx, m, counts, cfg.alpha,
-				cfg.bootstrapB, cfg.bootstrapLevel, rng.New(cfg.seed), cfg.workers)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				return nil, fmt.Errorf("fairness: metric %s bootstrap: %w", m.Key(), err)
-			}
-			mr.Bootstrap = &BootstrapReport{
-				Replicates:    cfg.bootstrapB,
-				Level:         JSONFloat(iv.Level),
-				Lo:            JSONFloat(iv.Lo),
-				Hi:            JSONFloat(iv.Hi),
-				InfiniteShare: JSONFloat(iv.InfiniteShare),
-			}
-		}
-		if cfg.credibleB > 0 {
-			model, err := bayes.NewDirichletMultinomial(counts, cfg.credibleAlpha)
-			if err != nil {
-				return nil, fmt.Errorf("fairness: metric %s credible: %w", m.Key(), err)
-			}
-			post, err := model.MetricCredible(ctx, m, cfg.credibleB,
-				cfg.credibleLevel, rng.New(cfg.seed), cfg.workers)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				return nil, fmt.Errorf("fairness: metric %s credible: %w", m.Key(), err)
-			}
-			mr.Credible = &CredibleReport{
+		for j, post := range posts {
+			secs[j].Credible = &CredibleReport{
 				Samples:    cfg.credibleB,
 				PriorAlpha: JSONFloat(cfg.credibleAlpha),
 				Level:      JSONFloat(post.Level),
@@ -527,7 +459,32 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 				Sup:        JSONFloat(post.Sup),
 			}
 		}
-		rep.Metrics = append(rep.Metrics, mr)
+	}
+
+	// The schema-v2 top-level ε fields are metric 0's section.
+	eps := secs[0]
+	rep.Epsilon = eps.Value
+	rep.Finite = eps.Finite
+	rep.Witness = eps.Witness
+	interp := core.Interpret(float64(eps.Value))
+	rep.Interpretation = ReportInterpretation{
+		MaxUtilityFactor:               JSONFloat(interp.MaxUtilityFactor),
+		HighFairnessRegime:             interp.HighFairnessRegime,
+		StrongerThanRandomizedResponse: interp.StrongerThanRandomizedResponse,
+	}
+	rep.SubsetBound = JSONFloat(core.SubsetBound(core.EpsilonResult{Epsilon: float64(eps.Value)}))
+	if cfg.subsets {
+		rep.Ladder = make([]LadderRow, len(eps.Ladder))
+		for i, r := range eps.Ladder {
+			rep.Ladder[i] = LadderRow{Attrs: r.Attrs, Epsilon: r.Value, Finite: r.Finite, Witness: r.Witness}
+		}
+	} else {
+		rep.Ladder = []LadderRow{{Attrs: attrNames(space), Epsilon: eps.Value, Finite: eps.Finite, Witness: eps.Witness}}
+	}
+	rep.Bootstrap = eps.Bootstrap
+	rep.Credible = eps.Credible
+	if len(secs) > 1 {
+		rep.Metrics = secs[1:]
 	}
 
 	if cfg.simpson && space.NumAttrs() == 2 {

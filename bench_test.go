@@ -21,6 +21,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/dist"
 	"repro/internal/experiments"
+	"repro/internal/fairmetrics"
 	"repro/internal/mechanism"
 	"repro/internal/repair"
 	"repro/internal/resample"
@@ -337,6 +338,9 @@ func BenchmarkRepair(b *testing.B) {
 	}
 }
 
+// epsOnly is the metric list of the ε-only resampling benchmarks.
+var epsOnly = []core.Metric{core.DFEpsilon}
+
 // BenchmarkEpsilonBootstrap is the headline engine benchmark: a 100k-
 // observation contingency table over the 16-group census space,
 // bootstrapped with B=200 replicates. "engine" is the parallel O(cells)
@@ -375,7 +379,7 @@ func BenchmarkEpsilonBootstrap(b *testing.B) {
 		rr := rng.New(8)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := resample.EpsilonBootstrap(context.Background(), counts, 1, replicates, 0.95, rr, 0); err != nil {
+			if _, err := resample.Bootstrap(context.Background(), epsOnly, counts, 1, replicates, 0.95, rr, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -443,7 +447,7 @@ func BenchmarkEpsilonCredible(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := model.EpsilonCredible(context.Background(), 200, 0.95, r, 0); err != nil {
+		if _, err := model.Credible(context.Background(), epsOnly, 200, 0.95, r, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -464,7 +468,7 @@ func BenchmarkBootstrap(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := resample.EpsilonBootstrap(context.Background(), counts, 1, 100, 0.95, r, 0); err != nil {
+		if _, err := resample.Bootstrap(context.Background(), epsOnly, counts, 1, 100, 0.95, r, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -577,9 +581,12 @@ func BenchmarkMonitorObserveParallel(b *testing.B) {
 // rescans only the touched groups; "snapshot" is the retained
 // authoritative baseline that re-merges every shard and recomputes ε
 // from scratch per check. The shard count is pinned so the baseline's
-// O(shards × cells) merge cost doesn't vary with the host.
-// scripts/bench_stream.sh records both and gates snapshot/incremental
-// ns/op at ≥ 5×.
+// O(shards × cells) merge cost doesn't vary with the host. The
+// "metrics-" pair arms worst_ratio and alpha_if beside ε, as the
+// watch-wide dfbench workload does: the incremental check then also
+// builds one CPT from the running aggregate per check.
+// scripts/bench_stream.sh records all four and gates
+// snapshot/incremental ns/op of the ε-only pair at ≥ 5×.
 func BenchmarkWatchObserveBatchChecked(b *testing.B) {
 	attrs := make([]core.Attr, 9)
 	for i := range attrs {
@@ -587,7 +594,7 @@ func BenchmarkWatchObserveBatchChecked(b *testing.B) {
 	}
 	space := core.MustSpace(attrs...)
 	const batch = 64
-	newWatch := func(b *testing.B) *stream.Watch {
+	newWatch := func(b *testing.B, metrics ...stream.MetricThreshold) *stream.Watch {
 		m, err := stream.New(space, []string{"deny", "approve"}, stream.Config{
 			Policy: stream.Sliding{Window: 1 << 16, Buckets: 8},
 			Alpha:  1,
@@ -596,9 +603,9 @@ func BenchmarkWatchObserveBatchChecked(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// An unreachable threshold keeps alert allocation out of both
+		// Unreachable thresholds keep alert allocation out of the
 		// measurements; every check still runs the full estimator.
-		w, err := stream.NewWatch(m, 50, 1)
+		w, err := stream.NewWatch(m, 50, 1, metrics...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -611,29 +618,41 @@ func BenchmarkWatchObserveBatchChecked(b *testing.B) {
 		groups[i] = r.Intn(space.Size())
 		outcomes[i] = r.Intn(2)
 	}
-	b.Run("incremental", func(b *testing.B) {
-		w := newWatch(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := w.ObserveBatchChecked(groups, outcomes); err != nil {
-				b.Fatal(err)
+	incremental := func(metrics ...stream.MetricThreshold) func(*testing.B) {
+		return func(b *testing.B) {
+			w := newWatch(b, metrics...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := w.ObserveBatchChecked(groups, outcomes); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
-	b.Run("snapshot", func(b *testing.B) {
-		w := newWatch(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := w.ObserveBatch(groups, outcomes); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := w.CheckFull(); err != nil {
-				b.Fatal(err)
+	}
+	snapshot := func(metrics ...stream.MetricThreshold) func(*testing.B) {
+		return func(b *testing.B) {
+			w := newWatch(b, metrics...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.ObserveBatch(groups, outcomes); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := w.CheckFull(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	metrics := []stream.MetricThreshold{
+		{Metric: fairmetrics.WorstRatio{}, Threshold: 0.02},
+		{Metric: fairmetrics.AlphaIntersectional{Alpha: 0.5}, Threshold: 0.95},
+	}
+	b.Run("incremental", incremental())
+	b.Run("snapshot", snapshot())
+	b.Run("metrics-incremental", incremental(metrics...))
+	b.Run("metrics-snapshot", snapshot(metrics...))
 }
 
 // BenchmarkMonitorSnapshot measures the merge-on-snapshot read path of

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/loadgen"
 )
 
 // FuzzServeDecide drives arbitrary bodies at the decide endpoint of a
@@ -71,6 +74,62 @@ func FuzzServeDecide(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e["error"] == "" {
 				t.Fatalf("4xx without an error body on %q: %s", raw, rec.Body)
 			}
+		}
+	})
+}
+
+// FuzzDecodeBinaryBatch drives arbitrary bodies and monitor shapes
+// through the application/x-df-batch decoder (binaryBatchLen then
+// decodeBinaryBatch). It must never panic; a body it accepts must hold
+// only in-range groups and outcomes, exactly the claimed pair count, and
+// must be rejected again once its last byte is cut off; a body it
+// rejects must fail with one of the decoder's own errors. The seeds are
+// the cases of TestBinaryBatchBadRequests.
+func FuzzDecodeBinaryBatch(f *testing.F) {
+	ok := loadgen.AppendBinaryBatch(nil, []int{0, 1}, []int{1, 0})
+	for _, body := range [][]byte{
+		ok,
+		nil,
+		{0},
+		{9, 0, 1},
+		ok[:len(ok)-1],
+		append(append([]byte{}, ok...), 0),
+		loadgen.AppendBinaryBatch(nil, []int{4}, []int{0}),
+		loadgen.AppendBinaryBatch(nil, []int{0}, []int{2}),
+		loadgen.AppendBinaryBatch(nil, []int{300, 3}, []int{1, 1}),
+		{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0},
+	} {
+		f.Add(body, uint16(4), uint8(2))
+	}
+	decode := func(body []byte, numGroups, numOutcomes int) ([]int, []int, error) {
+		n, off, err := binaryBatchLen(body)
+		if err != nil {
+			return nil, nil, err
+		}
+		groups, outcomes := make([]int, n), make([]int, n)
+		return groups, outcomes, decodeBinaryBatch(body, off, groups, outcomes, numGroups, numOutcomes)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, numGroups uint16, numOutcomes uint8) {
+		ng, no := int(numGroups), int(numOutcomes)
+		groups, outcomes, err := decode(body, ng, no)
+		if err != nil {
+			if groups != nil && !errors.Is(err, errBatchTruncated) && !errors.Is(err, errBatchTrailing) &&
+				!errors.Is(err, errBatchGroupRange) && !errors.Is(err, errBatchOutcomeRange) {
+				t.Fatalf("decode of %x failed with a foreign error: %v", body, err)
+			}
+			return
+		}
+		if len(groups) == 0 {
+			t.Fatalf("accepted an empty batch %x", body)
+		}
+		for i := range groups {
+			if groups[i] < 0 || groups[i] >= ng || outcomes[i] < 0 || outcomes[i] >= no {
+				t.Fatalf("accepted out-of-range pair %d (%d, %d) for shape %dx%d in %x",
+					i, groups[i], outcomes[i], ng, no, body)
+			}
+		}
+		if _, _, err := decode(body[:len(body)-1], ng, no); err == nil {
+			t.Fatalf("accepted %x truncated by one byte", body)
 		}
 	})
 }

@@ -50,8 +50,7 @@
 //     the protected attributes is automatically 2ε-fair.
 //
 // Sub-packages under internal/ provide the substrates (mechanisms,
-// privacy frameworks, Bayesian estimation, classifiers, the synthetic
-// census) used by the examples, CLI tools and the experiment harness.
+// Bayesian estimation, classifiers, the synthetic census) used by the examples, CLI tools and the experiment harness.
 package fairness
 
 import (

@@ -12,7 +12,7 @@
 // Posterior draws run on the same parallel engine as the bootstrap
 // (internal/par): sample i always uses RNG substream (seed, i) and lands
 // in slot i, so summaries are bit-identical regardless of GOMAXPROCS, and
-// EpsilonCredible reuses one pooled CPT buffer per worker instead of
+// Credible reuses one pooled CPT buffer per worker instead of
 // materializing every sampled θ.
 package bayes
 
@@ -133,10 +133,10 @@ func (m *DirichletMultinomial) samplePosterior(ctx context.Context, n int, r *rn
 	return out, nil
 }
 
-// EpsilonPosterior summarizes the posterior distribution of ε: point
-// estimates and a central credible interval.
+// EpsilonPosterior summarizes the posterior distribution of one metric
+// (ε by default): point estimates and a central credible interval.
 type EpsilonPosterior struct {
-	// Mean is the posterior mean of ε over the samples.
+	// Mean is the posterior mean over the samples.
 	Mean float64
 	// Median is the posterior median.
 	Median float64
@@ -145,15 +145,18 @@ type EpsilonPosterior struct {
 	Lo, Hi float64
 	// Level is the credible level, e.g. 0.95.
 	Level float64
-	// Samples holds the sorted per-sample ε values.
+	// Samples holds the sorted per-sample values.
 	Samples []float64
-	// Sup is the supremum over samples: ε of the sampled Θ as a
+	// Sup is the most-unfair value over the samples under the metric's
+	// orientation; for ε it is the supremum, ε of the sampled Θ as a
 	// framework (Definition 3.1 with Θ = the credible set).
 	Sup float64
 }
 
-// EpsilonCredible draws n posterior samples and returns the posterior
-// summary of ε at the given credible level (in (0,1)). Unlike
+// Credible draws n posterior samples and returns, for each metric in
+// order, the posterior summary at the given credible level (in (0,1)).
+// Each sampled θ is drawn once and every metric evaluates it, so all
+// summaries are over exactly the same posterior draws. Unlike
 // SamplePosterior it never materializes the sampled CPTs: each worker
 // reuses one pooled CPT buffer across all samples it evaluates, so the
 // steady-state loop is allocation-free. Results are deterministic for a
@@ -161,24 +164,12 @@ type EpsilonPosterior struct {
 // ctx must be non-nil: when it is canceled mid-run the workers stop
 // claiming samples and the call returns ctx.Err() promptly instead of a
 // summary.
-func (m *DirichletMultinomial) EpsilonCredible(ctx context.Context, n int, level float64, r *rng.RNG, workers int) (EpsilonPosterior, error) {
-	return m.MetricCredible(ctx, core.DFEpsilon, n, level, r, workers)
-}
-
-// MetricCredible is EpsilonCredible generalized to any core.Metric: the
-// same pooled-buffer posterior sampler and RNG substream discipline,
-// with the metric's Eval replacing ε on each sampled θ. Sup is the
-// most-unfair value over the samples under the metric's orientation —
-// the framework reading of Definition 3.1 generalized (for ε it equals
-// the supremum, reproducing EpsilonCredible bit for bit). Every metric
-// summarized with an identically-seeded RNG sees exactly the same
-// posterior draws.
-func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metric core.Metric, n int, level float64, r *rng.RNG, workers int) (EpsilonPosterior, error) {
+func (m *DirichletMultinomial) Credible(ctx context.Context, ms []core.Metric, n int, level float64, r *rng.RNG, workers int) ([]EpsilonPosterior, error) {
 	if !(level > 0 && level < 1) {
-		return EpsilonPosterior{}, fmt.Errorf("bayes: credible level %v outside (0,1)", level)
+		return nil, fmt.Errorf("bayes: credible level %v outside (0,1)", level)
 	}
 	if n <= 0 {
-		return EpsilonPosterior{}, fmt.Errorf("bayes: need n > 0 samples, got %d", n)
+		return nil, fmt.Errorf("bayes: need n > 0 samples, got %d", n)
 	}
 	space := m.counts.Space()
 	outcomes := m.counts.Outcomes()
@@ -191,7 +182,10 @@ func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metric core.M
 		probs []float64
 		cpt   *core.CPT
 	}
-	eps := make([]float64, n)
+	vals := make([][]float64, len(ms))
+	for j := range vals {
+		vals[j] = make([]float64, n)
+	}
 	err := par.DoCtx(ctx, workers, n, func() *scratch {
 		return &scratch{
 			rng:   rng.New(0),
@@ -203,38 +197,45 @@ func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metric core.M
 		if err := sampleInto(s.cpt, s.rng, s.probs, alphaPost, groupTotals); err != nil {
 			return err
 		}
-		res, err := metric.Eval(s.cpt)
-		if err != nil {
-			return err
+		for j, metric := range ms {
+			res, err := metric.Eval(s.cpt)
+			if err != nil {
+				return fmt.Errorf("bayes: metric %s: %w", metric.Key(), err)
+			}
+			vals[j][i] = res.Value
 		}
-		eps[i] = res.Value
 		return nil
 	})
 	if err != nil {
 		if ctx.Err() != nil {
-			return EpsilonPosterior{}, ctx.Err()
+			return nil, ctx.Err()
 		}
-		return EpsilonPosterior{}, err
+		return nil, err
 	}
 
-	sum := 0.0
-	sup := eps[0]
-	for _, e := range eps {
-		sum += e
-		if core.MetricWorse(metric, e, sup) {
-			sup = e
+	out := make([]EpsilonPosterior, len(ms))
+	for j, metric := range ms {
+		v := vals[j]
+		sum := 0.0
+		sup := v[0]
+		for _, e := range v {
+			sum += e
+			if core.MetricWorse(metric, e, sup) {
+				sup = e
+			}
+		}
+		sort.Float64s(v)
+		out[j] = EpsilonPosterior{
+			Mean:    sum / float64(len(v)),
+			Median:  quantileSorted(v, 0.5),
+			Lo:      quantileSorted(v, (1-level)/2),
+			Hi:      quantileSorted(v, 1-(1-level)/2),
+			Level:   level,
+			Samples: v,
+			Sup:     sup,
 		}
 	}
-	sort.Float64s(eps)
-	return EpsilonPosterior{
-		Mean:    sum / float64(len(eps)),
-		Median:  quantileSorted(eps, 0.5),
-		Lo:      quantileSorted(eps, (1-level)/2),
-		Hi:      quantileSorted(eps, 1-(1-level)/2),
-		Level:   level,
-		Samples: eps,
-		Sup:     sup,
-	}, nil
+	return out, nil
 }
 
 // quantileSorted returns the q-quantile of sorted values by linear

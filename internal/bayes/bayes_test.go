@@ -7,8 +7,18 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fairmetrics"
 	"repro/internal/rng"
 )
+
+// epsilonCredible is Credible over ε alone.
+func epsilonCredible(m *DirichletMultinomial, ctx context.Context, n int, level float64, r *rng.RNG, workers int) (EpsilonPosterior, error) {
+	ps, err := m.Credible(ctx, []core.Metric{core.DFEpsilon}, n, level, r, workers)
+	if err != nil {
+		return EpsilonPosterior{}, err
+	}
+	return ps[0], nil
+}
 
 func demoCounts(t *testing.T) *core.Counts {
 	t.Helper()
@@ -115,11 +125,11 @@ func TestPosteriorConcentratesWithData(t *testing.T) {
 	}
 	small, _ := NewDirichletMultinomial(build(1), 1)
 	big, _ := NewDirichletMultinomial(build(100), 1)
-	ps, err := small.EpsilonCredible(context.Background(), 400, 0.9, rng.New(11), 0)
+	ps, err := epsilonCredible(small, context.Background(), 400, 0.9, rng.New(11), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := big.EpsilonCredible(context.Background(), 400, 0.9, rng.New(11), 0)
+	pb, err := epsilonCredible(big, context.Background(), 400, 0.9, rng.New(11), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +146,7 @@ func TestPosteriorConcentratesWithData(t *testing.T) {
 func TestEpsilonCredibleInvariants(t *testing.T) {
 	c := demoCounts(t)
 	m, _ := NewDirichletMultinomial(c, 1)
-	p, err := m.EpsilonCredible(context.Background(), 300, 0.95, rng.New(3), 0)
+	p, err := epsilonCredible(m, context.Background(), 300, 0.95, rng.New(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +164,7 @@ func TestEpsilonCredibleInvariants(t *testing.T) {
 			t.Fatal("samples not sorted")
 		}
 	}
-	if _, err := m.EpsilonCredible(context.Background(), 10, 1.5, rng.New(1), 0); err == nil {
+	if _, err := epsilonCredible(m, context.Background(), 10, 1.5, rng.New(1), 0); err == nil {
 		t.Error("bad level accepted")
 	}
 }
@@ -188,7 +198,7 @@ func TestPosteriorDeterministicAcrossWorkerCounts(t *testing.T) {
 	m, _ := NewDirichletMultinomial(c, 1)
 	var results []EpsilonPosterior
 	for _, workers := range []int{1, 2, 8} {
-		p, err := m.EpsilonCredible(context.Background(), 200, 0.9, rng.New(31), workers)
+		p, err := epsilonCredible(m, context.Background(), 200, 0.9, rng.New(31), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +236,7 @@ func TestPosteriorDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestEpsilonCredibleMatchesSamplePosterior: EpsilonCredible's pooled-
+// TestEpsilonCredibleMatchesSamplePosterior: Credible's pooled-
 // buffer path must evaluate exactly the θ set SamplePosterior returns for
 // the same seed.
 func TestEpsilonCredibleMatchesSamplePosterior(t *testing.T) {
@@ -246,7 +256,7 @@ func TestEpsilonCredibleMatchesSamplePosterior(t *testing.T) {
 		want = append(want, res.Epsilon)
 	}
 	sort.Float64s(want)
-	p, err := m.EpsilonCredible(context.Background(), n, 0.9, rng.New(55), 0)
+	p, err := epsilonCredible(m, context.Background(), n, 0.9, rng.New(55), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,18 +274,52 @@ func TestEpsilonCredibleCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.EpsilonCredible(ctx, 1000, 0.95, rng.New(1), 0); err != context.Canceled {
+	if _, err := epsilonCredible(m, ctx, 1000, 0.95, rng.New(1), 0); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	a, err := m.EpsilonCredible(context.Background(), 50, 0.9, rng.New(9), 0)
+	a, err := epsilonCredible(m, context.Background(), 50, 0.9, rng.New(9), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.EpsilonCredible(context.Background(), 50, 0.9, rng.New(9), 0)
+	b, err := epsilonCredible(m, context.Background(), 50, 0.9, rng.New(9), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Lo != b.Lo || a.Hi != b.Hi || a.Mean != b.Mean {
 		t.Errorf("ctx variant diverged")
+	}
+}
+
+// TestCredibleMultiMetricMatchesSingle: every metric of one Credible call
+// summarizes exactly the draws a one-metric call with the same seed
+// makes, bit for bit — including Sup under a lower-is-worse metric.
+func TestCredibleMultiMetricMatchesSingle(t *testing.T) {
+	m, err := NewDirichletMultinomial(demoCounts(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := []core.Metric{core.DFEpsilon, fairmetrics.WorstRatio{}, fairmetrics.WorstGap{}}
+	all, err := m.Credible(context.Background(), ms, 120, 0.9, rng.New(77), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, metric := range ms {
+		one, err := m.Credible(context.Background(), []core.Metric{metric}, 120, 0.9, rng.New(77), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := all[j], one[0]
+		if got.Mean != want.Mean || got.Median != want.Median || got.Lo != want.Lo ||
+			got.Hi != want.Hi || got.Sup != want.Sup {
+			t.Errorf("%s: multi-metric summary %+v differs from one-metric %+v", metric.Key(), got, want)
+		}
+		for i := range want.Samples {
+			if math.Float64bits(got.Samples[i]) != math.Float64bits(want.Samples[i]) {
+				t.Fatalf("%s: sample %d = %v, want %v", metric.Key(), i, got.Samples[i], want.Samples[i])
+			}
+		}
+	}
+	if all[1].Sup != all[1].Samples[0] {
+		t.Errorf("worst_ratio Sup = %v, want the smallest sample %v", all[1].Sup, all[1].Samples[0])
 	}
 }

@@ -226,6 +226,26 @@ func (c *Counts) SmoothedInto(dst *CPT, alpha float64, includeEmpty bool) error 
 	return nil
 }
 
+// Estimate converts counts to a CPT under the estimator alpha selects:
+// the Dirichlet-smoothed Eq. 7 when alpha > 0 (groups with no
+// observations stay unsupported), the empirical Eq. 6 otherwise.
+func (c *Counts) Estimate(alpha float64) (*CPT, error) {
+	out := MustCPT(c.space, c.outcomes)
+	if err := c.EstimateInto(out, alpha); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EstimateInto is Estimate writing into a caller-owned CPT buffer, with
+// the same contract as SmoothedInto and EmpiricalInto.
+func (c *Counts) EstimateInto(dst *CPT, alpha float64) error {
+	if alpha > 0 {
+		return c.SmoothedInto(dst, alpha, false)
+	}
+	return c.EmpiricalInto(dst)
+}
+
 // checkShape verifies dst can hold a CPT derived from these counts.
 func (c *Counts) checkShape(dst *CPT) error {
 	if dst == nil {

@@ -114,7 +114,12 @@ func (EpsilonMetric) Eval(c *CPT) (MetricResult, error) {
 	if err != nil {
 		return MetricResult{}, err
 	}
-	return MetricResult{Value: r.Epsilon, Witness: r.Witness, Finite: r.Finite}, nil
+	return r.AsMetric(), nil
+}
+
+// AsMetric is the ε result in the generic metric form.
+func (r EpsilonResult) AsMetric() MetricResult {
+	return MetricResult{Value: r.Epsilon, Witness: r.Witness, Finite: r.Finite}
 }
 
 // SubsetMetric is one metric value measured over a subset of the
@@ -130,33 +135,42 @@ type SubsetMetric struct {
 // Key renders the subset as a comma-joined attribute list.
 func (s SubsetMetric) Key() string { return strings.Join(s.Attrs, ",") }
 
-// MetricSubsetsCounts measures a metric for every nonempty subset of the
-// protected attributes by aggregating counts — the Table 2 ladder
-// generalized beyond ε. Marginal tables are shared along the subset
-// lattice exactly as in EpsilonSubsetsCounts (each subset's counts
-// derived from a one-attribute-larger parent), and alpha > 0 selects the
-// Eq. 7 smoothed estimator per subset.
-func MetricSubsetsCounts(m Metric, c *Counts, alpha float64) ([]SubsetMetric, error) {
+// MetricSubsetsCounts measures every metric for every nonempty subset
+// of the protected attributes by aggregating counts — the Table 2 ladder
+// generalized beyond ε. The lattice is walked once: each subset's
+// marginal counts are derived from a one-attribute-larger parent (so the
+// total marginalization work is Σ over subsets of the *parent* table
+// size rather than 2^p × the full table size), converted to one CPT
+// under the selected estimator (alpha > 0: Eq. 7), and every metric is
+// evaluated on it. out[j] is metric j's ladder in Space.SubsetNames
+// order.
+func MetricSubsetsCounts(ms []Metric, c *Counts, alpha float64) ([][]SubsetMetric, error) {
 	space := c.Space()
 	marg, err := latticeMarginals(c)
 	if err != nil {
 		return nil, err
 	}
-	var out []SubsetMetric
-	for _, names := range space.SubsetNames() {
-		mask, err := subsetMask(space, names)
+	names := space.SubsetNames()
+	out := make([][]SubsetMetric, len(ms))
+	for j := range out {
+		out[j] = make([]SubsetMetric, 0, len(names))
+	}
+	for _, sub := range names {
+		mask, err := subsetMask(space, sub)
 		if err != nil {
 			return nil, err
 		}
-		cpt, err := marginalCPT(marg[mask], alpha)
+		cpt, err := marg[mask].Estimate(alpha)
 		if err != nil {
 			return nil, err
 		}
-		r, err := m.Eval(cpt)
-		if err != nil {
-			return nil, fmt.Errorf("core: subset %v: %w", names, err)
+		for j, m := range ms {
+			r, err := m.Eval(cpt)
+			if err != nil {
+				return nil, fmt.Errorf("core: subset %v: %w", sub, err)
+			}
+			out[j] = append(out[j], SubsetMetric{Attrs: sub, Result: r, Space: cpt.Space()})
 		}
-		out = append(out, SubsetMetric{Attrs: names, Result: r, Space: marg[mask].Space()})
 	}
 	return out, nil
 }
@@ -173,13 +187,4 @@ func SortSubsetsByMetricValue(m Metric, subs []SubsetMetric) {
 		}
 		return slices.Compare(subs[i].Attrs, subs[j].Attrs) < 0
 	})
-}
-
-// marginalCPT converts one lattice marginal to a CPT under the selected
-// estimator.
-func marginalCPT(c *Counts, alpha float64) (*CPT, error) {
-	if alpha > 0 {
-		return c.Smoothed(alpha, false)
-	}
-	return c.Empirical(), nil
 }

@@ -1,6 +1,6 @@
 // Package dist is the probability-distribution substrate shared by the
-// noise mechanisms (internal/mechanism), the privacy frameworks
-// (internal/privacy), and the experiment harness (internal/experiments).
+// noise mechanisms (internal/mechanism) and the experiment harness
+// (internal/experiments).
 //
 // Every distribution is a small immutable value constructed through a
 // validating New* function; once constructed, every method is total — no

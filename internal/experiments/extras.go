@@ -85,14 +85,9 @@ func SmoothingSweep(cfg census.Config) (SmoothingSweepResult, error) {
 	}
 	var out SmoothingSweepResult
 	for _, alpha := range []float64{0, 0.1, 0.5, 1, 5, 20} {
-		var cpt *core.CPT
-		if alpha == 0 {
-			cpt = counts.Empirical()
-		} else {
-			cpt, err = counts.Smoothed(alpha, false)
-			if err != nil {
-				return out, err
-			}
+		cpt, err := counts.Estimate(alpha)
+		if err != nil {
+			return out, err
 		}
 		res, err := core.Epsilon(cpt)
 		if err != nil {
@@ -150,7 +145,7 @@ func CredibleInterval(ctx context.Context, cfg census.Config, samples int, seed 
 	if err != nil {
 		return CredibleResult{}, err
 	}
-	post, err := model.EpsilonCredible(ctx, samples, 0.95, rng.New(seed), 0)
+	post, err := model.Credible(ctx, []core.Metric{core.DFEpsilon}, samples, 0.95, rng.New(seed), 0)
 	if err != nil {
 		return CredibleResult{}, err
 	}
@@ -162,7 +157,7 @@ func CredibleInterval(ctx context.Context, cfg census.Config, samples int, seed 
 	if err != nil {
 		return CredibleResult{}, err
 	}
-	return CredibleResult{Posterior: post, PointEps: point.Epsilon}, nil
+	return CredibleResult{Posterior: post[0], PointEps: point.Epsilon}, nil
 }
 
 // String renders the posterior summary.

@@ -25,56 +25,45 @@ import (
 	"repro/internal/rng"
 )
 
-// Interval is a percentile bootstrap interval for ε.
+// Interval is a percentile bootstrap interval for one metric.
 type Interval struct {
-	// Point is the ε of the original counts.
+	// Point is the metric value of the original counts.
 	Point float64
 	// Lo and Hi bound the central interval at the requested level.
 	Lo, Hi float64
 	// Level is the confidence level, e.g. 0.95.
 	Level float64
-	// Replicates holds the sorted bootstrap ε values (infinite
+	// Replicates holds the sorted bootstrap values (infinite
 	// replicates are recorded as +Inf and sort to the end).
 	Replicates []float64
-	// InfiniteShare is the fraction of replicates whose empirical ε was
-	// infinite — itself a sparsity diagnostic.
+	// InfiniteShare is the fraction of non-finite replicates — for
+	// empirical ε itself a sparsity diagnostic.
 	InfiniteShare float64
 }
 
-// EpsilonBootstrap resamples the contingency table B times (multinomial
-// over all (group, outcome) cells, preserving the total count) and
-// returns the percentile interval of ε at the given level. alpha > 0
-// applies Eq. 7 smoothing to each replicate; with alpha = 0 some
-// replicates may have infinite ε (including replicates that concentrate
-// all mass in fewer than two groups), which is reported via InfiniteShare
-// and treated as +Inf in the percentiles.
+// Bootstrap resamples the contingency table B times (multinomial over
+// all (group, outcome) cells, preserving the total count) and returns,
+// for each metric in order, the percentile interval at the given level.
+// Each replicate table is drawn once and every metric evaluates it, so
+// all intervals are measured over exactly the same resampled tables.
+// alpha > 0 applies Eq. 7 smoothing to each replicate.
+//
+// A replicate whose table degenerates to fewer than two supported
+// groups scores each metric's WorstValue (+Inf for ε); with alpha = 0 ε
+// may also be legitimately infinite. InfiniteShare counts the
+// non-finite replicates, which for bounded metrics is always 0, and
+// infinite values sort to the end of the percentiles.
 //
 // ctx must be non-nil and carries cooperative cancellation: when it is
 // canceled mid-run the workers stop claiming replicates and the call
-// returns ctx.Err() promptly instead of an interval. workers pins the
-// pool size (0 = one per CPU). The interval for a given (counts, alpha,
-// b, level, r) is deterministic and independent of both GOMAXPROCS and
-// workers.
-func EpsilonBootstrap(ctx context.Context, c *core.Counts, alpha float64, b int, level float64, r *rng.RNG, workers int) (Interval, error) {
-	return MetricBootstrap(ctx, core.DFEpsilon, c, alpha, b, level, r, workers)
-}
-
-// MetricBootstrap is EpsilonBootstrap generalized to any core.Metric:
-// the same pooled-buffer multinomial engine, RNG substream discipline
-// and percentile computation, with the metric's Eval replacing ε on each
-// replicate. A replicate whose table degenerates to fewer than two
-// supported groups scores the metric's WorstValue (for ε that is +Inf,
-// reproducing EpsilonBootstrap bit for bit); InfiniteShare counts the
-// non-finite replicates, which for bounded metrics is always 0.
-//
-// Determinism matches EpsilonBootstrap: for a given (metric, counts,
-// alpha, b, level, r) the interval is independent of GOMAXPROCS and
-// workers, and every metric bootstrapped with an identically-seeded RNG
-// sees exactly the same resampled tables.
-func MetricBootstrap(ctx context.Context, m core.Metric, c *core.Counts, alpha float64, b int, level float64, r *rng.RNG, workers int) (Interval, error) {
-	n, point, err := validateBootstrap(m, c, alpha, b, level)
+// returns ctx.Err() promptly instead of intervals. workers pins the
+// pool size (0 = one per CPU). The intervals for a given (metrics,
+// counts, alpha, b, level, r) are deterministic and independent of both
+// GOMAXPROCS and workers.
+func Bootstrap(ctx context.Context, ms []core.Metric, c *core.Counts, alpha float64, b int, level float64, r *rng.RNG, workers int) ([]Interval, error) {
+	n, points, err := validateBootstrap(ms, c, alpha, b, level)
 	if err != nil {
-		return Interval{}, err
+		return nil, err
 	}
 
 	// The original cell counts are the multinomial weights. Cells() is a
@@ -93,7 +82,10 @@ func MetricBootstrap(ctx context.Context, m core.Metric, c *core.Counts, alpha f
 		cpt  *core.CPT
 		rng  *rng.RNG
 	}
-	reps := make([]float64, b)
+	reps := make([][]float64, len(ms))
+	for j := range reps {
+		reps[j] = make([]float64, b)
+	}
 	err = par.DoCtx(ctx, workers, b, func() *scratch {
 		return &scratch{
 			boot: core.MustCounts(space, outcomes),
@@ -105,55 +97,38 @@ func MetricBootstrap(ctx context.Context, m core.Metric, c *core.Counts, alpha f
 		// One multinomial draw fills every cell of the replicate table:
 		// O(cells), allocation-free.
 		s.rng.Multinomial(s.boot.Cells(), n, weights)
-		if alpha > 0 {
-			if err := s.boot.SmoothedInto(s.cpt, alpha, false); err != nil {
-				return err
-			}
-		} else {
-			if err := s.boot.EmpiricalInto(s.cpt); err != nil {
-				return err
-			}
-		}
-		res, err := m.Eval(s.cpt)
-		if err != nil {
-			if errors.Is(err, core.ErrDegenerateSupport) {
-				// The resample concentrated all mass in fewer than two
-				// groups: legitimately the most-unfair representable
-				// value, not a failure.
-				reps[i] = m.WorstValue()
-				return nil
-			}
-			// Anything else is a real bug (invalid probabilities, shape
-			// mismatch) and must not be silently scored as worst.
+		if err := s.boot.EstimateInto(s.cpt, alpha); err != nil {
 			return err
 		}
-		reps[i] = res.Value
+		for j, m := range ms {
+			res, err := m.Eval(s.cpt)
+			if err != nil {
+				if errors.Is(err, core.ErrDegenerateSupport) {
+					// The resample concentrated all mass in fewer than two
+					// groups: legitimately the most-unfair representable
+					// value, not a failure.
+					reps[j][i] = m.WorstValue()
+					continue
+				}
+				// Anything else is a real bug (invalid probabilities, shape
+				// mismatch) and must not be silently scored as worst.
+				return fmt.Errorf("metric %s: %w", m.Key(), err)
+			}
+			reps[j][i] = res.Value
+		}
 		return nil
 	})
 	if err != nil {
 		if ctx.Err() != nil {
-			return Interval{}, ctx.Err()
+			return nil, ctx.Err()
 		}
-		return Interval{}, fmt.Errorf("resample: replicate failed: %w", err)
+		return nil, fmt.Errorf("resample: replicate failed: %w", err)
 	}
-
-	infinite := 0
-	for _, v := range reps {
-		if math.IsInf(v, 0) {
-			infinite++
-		}
+	out := make([]Interval, len(ms))
+	for j := range ms {
+		out[j] = percentileInterval(points[j], reps[j], level)
 	}
-	sort.Float64s(reps)
-	lo := percentile(reps, (1-level)/2)
-	hi := percentile(reps, 1-(1-level)/2)
-	return Interval{
-		Point:         point,
-		Lo:            lo,
-		Hi:            hi,
-		Level:         level,
-		Replicates:    reps,
-		InfiniteShare: float64(infinite) / float64(b),
-	}, nil
+	return out, nil
 }
 
 // EpsilonBootstrapSerialAlias is the pre-engine reference implementation:
@@ -163,7 +138,7 @@ func MetricBootstrap(ctx context.Context, m core.Metric, c *core.Counts, alpha f
 // engine (see BenchmarkEpsilonBootstrap) and is not intended for
 // production use.
 func EpsilonBootstrapSerialAlias(c *core.Counts, alpha float64, b int, level float64, r *rng.RNG) (Interval, error) {
-	n, point, err := validateBootstrap(core.DFEpsilon, c, alpha, b, level)
+	n, points, err := validateBootstrap([]core.Metric{core.DFEpsilon}, c, alpha, b, level)
 	if err != nil {
 		return Interval{}, err
 	}
@@ -174,7 +149,6 @@ func EpsilonBootstrapSerialAlias(c *core.Counts, alpha float64, b int, level flo
 	alias := rng.NewAlias(c.Cells())
 
 	reps := make([]float64, 0, b)
-	infinite := 0
 	for rep := 0; rep < b; rep++ {
 		boot, err := core.NewCounts(space, outcomes)
 		if err != nil {
@@ -186,14 +160,9 @@ func EpsilonBootstrapSerialAlias(c *core.Counts, alpha float64, b int, level flo
 				return Interval{}, err
 			}
 		}
-		var cpt *core.CPT
-		if alpha > 0 {
-			cpt, err = boot.Smoothed(alpha, false)
-			if err != nil {
-				return Interval{}, err
-			}
-		} else {
-			cpt = boot.Empirical()
+		cpt, err := boot.Estimate(alpha)
+		if err != nil {
+			return Interval{}, err
 		}
 		res, err := core.Epsilon(cpt)
 		if err != nil {
@@ -201,11 +170,19 @@ func EpsilonBootstrapSerialAlias(c *core.Counts, alpha float64, b int, level flo
 				return Interval{}, fmt.Errorf("resample: replicate failed: %w", err)
 			}
 			reps = append(reps, math.Inf(1))
-			infinite++
 			continue
 		}
 		reps = append(reps, res.Epsilon)
-		if !res.Finite {
+	}
+	return percentileInterval(points[0], reps, level), nil
+}
+
+// percentileInterval sorts the replicate values in place and summarizes
+// them as the central interval at the given level.
+func percentileInterval(point float64, reps []float64, level float64) Interval {
+	infinite := 0
+	for _, v := range reps {
+		if math.IsInf(v, 0) {
 			infinite++
 		}
 	}
@@ -216,55 +193,41 @@ func EpsilonBootstrapSerialAlias(c *core.Counts, alpha float64, b int, level flo
 		Hi:            percentile(reps, 1-(1-level)/2),
 		Level:         level,
 		Replicates:    reps,
-		InfiniteShare: float64(infinite) / float64(b),
-	}, nil
+		InfiniteShare: float64(infinite) / float64(len(reps)),
+	}
 }
 
 // validateBootstrap checks the arguments shared by both bootstrap
-// implementations and returns the integer observation total plus the
-// point metric value of the original table.
-func validateBootstrap(m core.Metric, c *core.Counts, alpha float64, b int, level float64) (n int, point float64, err error) {
+// implementations and returns the integer observation total plus each
+// metric's point value on the original table.
+func validateBootstrap(ms []core.Metric, c *core.Counts, alpha float64, b int, level float64) (n int, points []float64, err error) {
 	if b <= 0 {
-		return 0, 0, fmt.Errorf("resample: need B > 0 replicates, got %d", b)
+		return 0, nil, fmt.Errorf("resample: need B > 0 replicates, got %d", b)
 	}
 	if !(level > 0 && level < 1) {
-		return 0, 0, fmt.Errorf("resample: level %v outside (0,1)", level)
+		return 0, nil, fmt.Errorf("resample: level %v outside (0,1)", level)
 	}
 	total := c.Total()
 	if total <= 0 {
-		return 0, 0, fmt.Errorf("resample: empty counts")
+		return 0, nil, fmt.Errorf("resample: empty counts")
 	}
 	n = int(math.Round(total))
 	if math.Abs(total-float64(n)) > 1e-9 {
-		return 0, 0, fmt.Errorf("resample: bootstrap requires integer counts, total is %v", total)
+		return 0, nil, fmt.Errorf("resample: bootstrap requires integer counts, total is %v", total)
 	}
-	point, err = pointMetric(m, c, alpha)
+	cpt, err := c.Estimate(alpha)
 	if err != nil {
-		return 0, 0, err
+		return 0, nil, err
 	}
-	return n, point, nil
-}
-
-// pointMetric is the metric value of the original table under the
-// selected estimator.
-func pointMetric(m core.Metric, c *core.Counts, alpha float64) (float64, error) {
-	var (
-		cpt *core.CPT
-		err error
-	)
-	if alpha > 0 {
-		cpt, err = c.Smoothed(alpha, false)
-	} else {
-		cpt = c.Empirical()
+	points = make([]float64, len(ms))
+	for j, m := range ms {
+		res, err := m.Eval(cpt)
+		if err != nil {
+			return 0, nil, err
+		}
+		points[j] = res.Value
 	}
-	if err != nil {
-		return 0, err
-	}
-	res, err := m.Eval(cpt)
-	if err != nil {
-		return 0, err
-	}
-	return res.Value, nil
+	return n, points, nil
 }
 
 func percentile(sorted []float64, q float64) float64 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fairmetrics"
 	"repro/internal/rng"
 )
 
@@ -25,9 +26,18 @@ func makeCounts(t *testing.T, cells ...float64) *core.Counts {
 	return c
 }
 
+// epsilonBootstrap is Bootstrap over ε alone.
+func epsilonBootstrap(ctx context.Context, c *core.Counts, alpha float64, b int, level float64, r *rng.RNG, workers int) (Interval, error) {
+	ivs, err := Bootstrap(ctx, []core.Metric{core.DFEpsilon}, c, alpha, b, level, r, workers)
+	if err != nil {
+		return Interval{}, err
+	}
+	return ivs[0], nil
+}
+
 func TestBootstrapCoversPoint(t *testing.T) {
 	c := makeCounts(t, 400, 600, 700, 300)
-	iv, err := EpsilonBootstrap(context.Background(), c, 0, 400, 0.95, rng.New(1), 0)
+	iv, err := epsilonBootstrap(context.Background(), c, 0, 400, 0.95, rng.New(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +59,11 @@ func TestBootstrapCoversPoint(t *testing.T) {
 func TestBootstrapWidthShrinksWithData(t *testing.T) {
 	small := makeCounts(t, 40, 60, 70, 30)
 	big := makeCounts(t, 4000, 6000, 7000, 3000)
-	ivSmall, err := EpsilonBootstrap(context.Background(), small, 0, 300, 0.9, rng.New(2), 0)
+	ivSmall, err := epsilonBootstrap(context.Background(), small, 0, 300, 0.9, rng.New(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivBig, err := EpsilonBootstrap(context.Background(), big, 0, 300, 0.9, rng.New(2), 0)
+	ivBig, err := epsilonBootstrap(context.Background(), big, 0, 300, 0.9, rng.New(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +77,14 @@ func TestBootstrapWidthShrinksWithData(t *testing.T) {
 // unsmoothed replicates go infinite; smoothing removes that entirely.
 func TestBootstrapSparsityDiagnostic(t *testing.T) {
 	c := makeCounts(t, 99, 1, 50, 50) // group a has a single "yes"
-	raw, err := EpsilonBootstrap(context.Background(), c, 0, 300, 0.9, rng.New(3), 0)
+	raw, err := epsilonBootstrap(context.Background(), c, 0, 300, 0.9, rng.New(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if raw.InfiniteShare == 0 {
 		t.Fatal("expected some infinite replicates on the sparse table")
 	}
-	smoothed, err := EpsilonBootstrap(context.Background(), c, 1, 300, 0.9, rng.New(3), 0)
+	smoothed, err := epsilonBootstrap(context.Background(), c, 1, 300, 0.9, rng.New(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +98,11 @@ func TestBootstrapSparsityDiagnostic(t *testing.T) {
 
 func TestBootstrapDeterministicUnderSeed(t *testing.T) {
 	c := makeCounts(t, 400, 600, 700, 300)
-	a, err := EpsilonBootstrap(context.Background(), c, 1, 100, 0.9, rng.New(7), 0)
+	a, err := epsilonBootstrap(context.Background(), c, 1, 100, 0.9, rng.New(7), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EpsilonBootstrap(context.Background(), c, 1, 100, 0.9, rng.New(7), 0)
+	b, err := epsilonBootstrap(context.Background(), c, 1, 100, 0.9, rng.New(7), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,21 +113,21 @@ func TestBootstrapDeterministicUnderSeed(t *testing.T) {
 
 func TestBootstrapValidation(t *testing.T) {
 	c := makeCounts(t, 10, 10, 10, 10)
-	if _, err := EpsilonBootstrap(context.Background(), c, 0, 0, 0.9, rng.New(1), 0); err == nil {
+	if _, err := epsilonBootstrap(context.Background(), c, 0, 0, 0.9, rng.New(1), 0); err == nil {
 		t.Error("B=0 accepted")
 	}
-	if _, err := EpsilonBootstrap(context.Background(), c, 0, 10, 1.5, rng.New(1), 0); err == nil {
+	if _, err := epsilonBootstrap(context.Background(), c, 0, 10, 1.5, rng.New(1), 0); err == nil {
 		t.Error("bad level accepted")
 	}
 	space := core.MustSpace(core.Attr{Name: "g", Values: []string{"a", "b"}})
 	zero := core.MustCounts(space, []string{"no", "yes"})
-	if _, err := EpsilonBootstrap(context.Background(), zero, 0, 10, 0.9, rng.New(1), 0); err == nil {
+	if _, err := epsilonBootstrap(context.Background(), zero, 0, 10, 0.9, rng.New(1), 0); err == nil {
 		t.Error("empty counts accepted")
 	}
 	frac := core.MustCounts(space, []string{"no", "yes"})
 	frac.MustAdd(0, 0, 1.5)
 	frac.MustAdd(1, 1, 1)
-	if _, err := EpsilonBootstrap(context.Background(), frac, 0, 10, 0.9, rng.New(1), 0); err == nil {
+	if _, err := epsilonBootstrap(context.Background(), frac, 0, 10, 0.9, rng.New(1), 0); err == nil {
 		t.Error("fractional counts accepted")
 	}
 }
@@ -147,7 +157,7 @@ func TestBootstrapDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, alpha := range []float64{0, 1} {
 		var intervals []Interval
 		for _, workers := range []int{1, 2, 8} {
-			iv, err := EpsilonBootstrap(context.Background(), c, alpha, 200, 0.95, rng.New(17), workers)
+			iv, err := epsilonBootstrap(context.Background(), c, alpha, 200, 0.95, rng.New(17), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +183,7 @@ func TestBootstrapDeterministicAcrossWorkerCounts(t *testing.T) {
 // report them via InfiniteShare.
 func TestBootstrapDegenerateReplicatesAreInfNotError(t *testing.T) {
 	c := makeCounts(t, 1, 1, 1, 1) // four observations over four cells
-	iv, err := EpsilonBootstrap(context.Background(), c, 0, 400, 0.9, rng.New(5), 0)
+	iv, err := epsilonBootstrap(context.Background(), c, 0, 400, 0.9, rng.New(5), 0)
 	if err != nil {
 		t.Fatalf("degenerate replicates failed the call: %v", err)
 	}
@@ -193,7 +203,7 @@ func TestBootstrapDegenerateReplicatesAreInfNotError(t *testing.T) {
 // distribution — their interval endpoints must agree closely at high B.
 func TestBootstrapMatchesSerialAliasDistribution(t *testing.T) {
 	c := makeCounts(t, 400, 600, 700, 300)
-	fast, err := EpsilonBootstrap(context.Background(), c, 1, 3000, 0.9, rng.New(21), 0)
+	fast, err := epsilonBootstrap(context.Background(), c, 1, 3000, 0.9, rng.New(21), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,19 +234,48 @@ func TestEpsilonBootstrapCtxCanceled(t *testing.T) {
 	c := makeCounts(t, 400, 600, 700, 300)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EpsilonBootstrap(ctx, c, 0, 1000, 0.95, rng.New(1), 0); err != context.Canceled {
+	if _, err := epsilonBootstrap(ctx, c, 0, 1000, 0.95, rng.New(1), 0); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// A background context and a canceled one must differ only in outcome.
-	a, err := EpsilonBootstrap(context.Background(), c, 0, 50, 0.95, rng.New(9), 0)
+	a, err := epsilonBootstrap(context.Background(), c, 0, 50, 0.95, rng.New(9), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EpsilonBootstrap(context.Background(), c, 0, 50, 0.95, rng.New(9), 0)
+	b, err := epsilonBootstrap(context.Background(), c, 0, 50, 0.95, rng.New(9), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Lo != b.Lo || a.Hi != b.Hi {
 		t.Errorf("ctx variant diverged: [%v,%v] vs [%v,%v]", a.Lo, a.Hi, b.Lo, b.Hi)
+	}
+}
+
+// TestBootstrapMultiMetricMatchesSingle: every metric of one Bootstrap
+// call is measured over exactly the replicate tables a one-metric call
+// with the same seed draws, bit for bit.
+func TestBootstrapMultiMetricMatchesSingle(t *testing.T) {
+	// A sparse group makes ε infinite on many replicates.
+	c := makeCounts(t, 40, 60, 2, 1, 30, 25)
+	ms := []core.Metric{core.DFEpsilon, fairmetrics.WorstRatio{}, fairmetrics.WorstGap{}}
+	all, err := Bootstrap(context.Background(), ms, c, 0, 300, 0.9, rng.New(19), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, m := range ms {
+		one, err := Bootstrap(context.Background(), []core.Metric{m}, c, 0, 300, 0.9, rng.New(19), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := all[j], one[0]
+		if got.Point != want.Point || got.Lo != want.Lo || got.Hi != want.Hi ||
+			got.InfiniteShare != want.InfiniteShare {
+			t.Errorf("%s: multi-metric interval %+v differs from one-metric %+v", m.Key(), got, want)
+		}
+		for i := range want.Replicates {
+			if math.Float64bits(got.Replicates[i]) != math.Float64bits(want.Replicates[i]) {
+				t.Fatalf("%s: replicate %d = %v, want %v", m.Key(), i, got.Replicates[i], want.Replicates[i])
+			}
+		}
 	}
 }

@@ -35,9 +35,10 @@ package stream
 //
 // The smoothed estimator is not invariant under the exponential policy's
 // uniform rescale (the α pseudo-count does not decay), so cached extrema
-// cannot survive decay there; the exponential policy instead re-scans
-// the aggregate (still O(cells), never O(shards × cells)) and does not
-// offer the incremental subset ladder.
+// cannot survive decay there; the exponential policy instead evaluates
+// ε on the aggregate's CPT (still O(cells), never O(shards × cells)),
+// like every metric other than ε, and does not offer the incremental
+// subset ladder.
 
 import (
 	"errors"
@@ -429,6 +430,12 @@ type incEngine struct {
 
 	full *incTable
 
+	// snap and cpt pool the aggregate's CPT for metric evaluation;
+	// cptFresh marks cpt as built from the current sync.
+	snap     *core.Counts
+	cpt      *core.CPT
+	cptFresh bool
+
 	// exponential policy
 	exp   bool
 	eeng  *expEngine
@@ -498,6 +505,7 @@ func (inc *incEngine) rebind(eng engine) {
 // derived state is missing, stale or drift-bounded out, otherwise a
 // drain of the dirty logs plus window evictions. mu must be held.
 func (inc *incEngine) sync(now int64) {
+	inc.cptFresh = false
 	inc.drains++
 	if !inc.valid || inc.drains >= inc.rebuildEvery || !inc.drain() {
 		inc.rebuild(now)
@@ -758,69 +766,49 @@ func (inc *incEngine) effectiveAt(now int64) float64 {
 	return inc.full.total
 }
 
-// epsilonLocked derives ε from the synced aggregate. Windowed policies
-// refresh the cached extrema (O(dirty groups)); the exponential policy
-// re-scans the aggregate with the decay scale applied (O(cells), but
-// still free of the O(shards × cells) merge). mu must be held.
-func (inc *incEngine) epsilonLocked(now int64) (core.EpsilonResult, error) {
-	if inc.exp {
-		return inc.epsilonScanExp(now)
+// evalLocked measures one metric on the aggregate synced at ticket now.
+// Under a window policy ε is derived from the cached extrema (O(dirty
+// groups)); every other metric, and ε under exponential decay, is
+// evaluated on the CPT of the aggregate. mu must be held.
+func (inc *incEngine) evalLocked(m core.Metric, now int64) (core.MetricResult, error) {
+	if _, ok := m.(core.EpsilonMetric); ok && !inc.exp {
+		inc.full.refresh()
+		res, err := inc.full.epsilonResult()
+		return res.AsMetric(), err
 	}
-	inc.full.refresh()
-	return inc.full.epsilonResult()
+	cpt, err := inc.cptLocked(now)
+	if err != nil {
+		return core.MetricResult{}, err
+	}
+	return m.Eval(cpt)
 }
 
-// epsilonScanExp replicates core.Epsilon over the decayed aggregate:
-// effective cell counts are agg×scale, so the smoothed estimator is
-// (c·scale + α)/(ns·scale + kα) and the empirical one is the
-// scale-invariant c/ns.
-func (inc *incEngine) epsilonScanExp(now int64) (core.EpsilonResult, error) {
-	t := inc.full
-	if t.supported < 2 {
-		return core.EpsilonResult{}, degenerateSupportErr(t.supported)
+// cptLocked converts the aggregate synced at ticket now to a CPT under
+// the monitor's estimator — O(cells), into buffers pooled on the
+// engine, at most once per sync. The exponential aggregate is scaled to
+// effective counts first; the smoothed estimator is not invariant under
+// that rescale. mu must be held.
+func (inc *incEngine) cptLocked(now int64) (*core.CPT, error) {
+	if inc.cptFresh {
+		return inc.cpt, nil
 	}
-	scale := math.Exp2(float64(inc.basis-now) * inc.invH)
-	res := core.EpsilonResult{Epsilon: 0, Finite: true}
-	for y := 0; y < t.k; y++ {
-		hiG, loG := -1, -1
-		hiP, loP := math.Inf(-1), math.Inf(1)
-		anyPositive := false
-		for g := 0; g < t.size; g++ {
-			if t.ns[g] <= 0 {
-				continue
-			}
-			var p float64
-			if t.alpha > 0 {
-				p = (t.agg[g*t.k+y]*scale + t.alpha) / (t.ns[g]*scale + t.kf*t.alpha)
-			} else {
-				p = t.agg[g*t.k+y] / t.ns[g]
-			}
-			if p > 0 {
-				anyPositive = true
-			}
-			if p > hiP {
-				hiP, hiG = p, g
-			}
-			if p < loP {
-				loP, loG = p, g
-			}
-		}
-		if !anyPositive {
-			continue
-		}
-		if loP == 0 {
-			return core.EpsilonResult{
-				Epsilon: math.Inf(1),
-				Witness: core.Witness{Outcome: y, GroupHi: hiG, GroupLo: loG},
-				Finite:  false,
-			}, nil
-		}
-		if d := math.Log(hiP) - math.Log(loP); d > res.Epsilon {
-			res.Epsilon = d
-			res.Witness = core.Witness{Outcome: y, GroupHi: hiG, GroupLo: loG}
+	if inc.snap == nil {
+		inc.snap = core.MustCounts(inc.m.space, inc.m.outcomes)
+		inc.cpt = core.MustCPT(inc.m.space, inc.m.outcomes)
+	}
+	cells := inc.snap.Cells()
+	copy(cells, inc.full.agg)
+	if inc.exp {
+		scale := math.Exp2(float64(inc.basis-now) * inc.invH)
+		for i := range cells {
+			cells[i] *= scale
 		}
 	}
-	return res, nil
+	if err := inc.snap.EstimateInto(inc.cpt, inc.m.alpha); err != nil {
+		return nil, err
+	}
+	inc.cptFresh = true
+	return inc.cpt, nil
 }
 
 // buildNodes constructs the subset lattice: one marginal table per

@@ -3,11 +3,13 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fairmetrics"
 	"repro/internal/rng"
 )
 
@@ -38,7 +40,7 @@ func sameAlert(t *testing.T, ctx string, inc, full *Alert) {
 	if inc == nil {
 		return
 	}
-	if math.Float64bits(inc.Epsilon) != math.Float64bits(full.Epsilon) ||
+	if inc.Metric != full.Metric || math.Float64bits(inc.Epsilon) != math.Float64bits(full.Epsilon) ||
 		inc.Witness != full.Witness || inc.SeenAt != full.SeenAt ||
 		inc.Threshold != full.Threshold {
 		t.Fatalf("%s: alert mismatch:\n  incremental %+v\n  full        %+v", ctx, inc, full)
@@ -65,7 +67,7 @@ func checkBoth(t *testing.T, ctx string, w *Watch) (*Alert, float64) {
 // checkBothExp is checkBoth under relative tolerance, for the
 // exponential policy whose incremental aggregate accumulates weights in
 // a different floating-point order than the shard merge.
-func checkBothExp(t *testing.T, ctx string, w *Watch, tol float64) {
+func checkBothExp(t *testing.T, ctx string, w *Watch, tol float64) *Alert {
 	t.Helper()
 	ai, ei, erri := w.Check()
 	af, ef, errf := w.CheckFull()
@@ -79,6 +81,9 @@ func checkBothExp(t *testing.T, ctx string, w *Watch, tol float64) {
 		t.Fatalf("%s: alert mismatch: incremental %v, full %v", ctx, ai, af)
 	}
 	if ai != nil {
+		if ai.Metric != af.Metric || ai.SeenAt != af.SeenAt || ai.Threshold != af.Threshold {
+			t.Fatalf("%s: alert mismatch:\n  incremental %+v\n  full        %+v", ctx, ai, af)
+		}
 		if math.IsInf(ai.Epsilon, 1) != math.IsInf(af.Epsilon, 1) || (!math.IsInf(ai.Epsilon, 1) && !relEq(ai.Epsilon, af.Epsilon, tol)) {
 			t.Fatalf("%s: alert ε mismatch: incremental %v, full %v", ctx, ai.Epsilon, af.Epsilon)
 		}
@@ -86,6 +91,7 @@ func checkBothExp(t *testing.T, ctx string, w *Watch, tol float64) {
 			t.Fatalf("%s: alert witness mismatch: incremental %+v, full %+v", ctx, ai.Witness, af.Witness)
 		}
 	}
+	return ai
 }
 
 func relEq(a, b, tol float64) bool {
@@ -100,10 +106,12 @@ func relEq(a, b, tol float64) bool {
 // single observations) with group-biased outcomes — group 0 never draws
 // outcome 1, so the empirical estimator periodically hits ε = +Inf and
 // evictions exercise support-loss transitions — comparing the
-// incremental and full checks after every round.
-func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int, exp bool) {
+// incremental and full checks after every round. It returns how often
+// each metric fired, keyed by Alert.Metric.
+func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int, exp bool) map[string]int {
 	t.Helper()
 	space := w.Space()
+	fired := map[string]int{}
 	for round := 0; round < rounds; round++ {
 		n := 1 + r.Intn(96)
 		groups := make([]int, n)
@@ -140,12 +148,17 @@ func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int, exp bool) {
 				}
 			}
 		}
+		var alert *Alert
 		if exp {
-			checkBothExp(t, "round", w, 1e-9)
+			alert = checkBothExp(t, "round", w, 1e-9)
 		} else {
-			checkBoth(t, "round", w)
+			alert, _ = checkBoth(t, "round", w)
+		}
+		if alert != nil {
+			fired[alert.Metric]++
 		}
 	}
+	return fired
 }
 
 // TestIncrementalMatchesFullRecompute is the core cross-policy property:
@@ -194,6 +207,127 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestIncrementalMetricsMatchFullRecompute extends the cross-policy
+// property to metric thresholds armed beside ε: worst_ratio (lower is
+// worse), alpha_if and demographic_parity, at limits the driven stream
+// crosses part of the time, in rotating order. Check and CheckFull must
+// agree on every
+// alert — metric, value, witness, SeenAt, and so the first-breach order
+// — bit-identically for the window policies and within 1e-9 relative
+// for exponential decay, with ε armed first and with no ε at all.
+func TestIncrementalMetricsMatchFullRecompute(t *testing.T) {
+	space := incTestSpace(t)
+	metrics := []MetricThreshold{
+		{Metric: fairmetrics.WorstRatio{}, Threshold: 0.3},
+		{Metric: fairmetrics.AlphaIntersectional{Alpha: 0.5}, Threshold: 0.6},
+		{Metric: fairmetrics.DemographicParity{}, Threshold: 0.4},
+	}
+	fired := map[string]int{}
+	seed := uint64(300)
+	for _, pc := range []struct {
+		name string
+		pol  Policy
+		exp  bool
+	}{
+		{"exponential", Exponential{HalfLife: 64}, true},
+		{"tumbling", Tumbling{Window: 512}, false},
+		{"sliding", Sliding{Window: 1024, Buckets: 4}, false},
+	} {
+		for _, alpha := range []float64{0, 0.5} {
+			for _, shards := range []int{1, 4} {
+				for _, eps := range []float64{0, 10} {
+					seed++
+					name := fmt.Sprintf("%s/alpha=%g/shards=%d/eps=%g", pc.name, alpha, shards, eps)
+					t.Run(name, func(t *testing.T) {
+						m, err := New(space, []string{"no", "yes"}, Config{Policy: pc.pol, Alpha: alpha, Shards: shards})
+						if err != nil {
+							t.Fatal(err)
+						}
+						// Rotate the list per case so each metric is
+						// sometimes the first to breach.
+						rot := int(seed) % len(metrics)
+						armed := append(append([]MetricThreshold(nil), metrics[rot:]...), metrics[:rot]...)
+						w, err := NewWatch(m, eps, 25, armed...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for k, n := range drive(t, w, rng.New(seed), 60, pc.exp) {
+							fired[k] += n
+						}
+					})
+				}
+			}
+		}
+	}
+	for _, mt := range metrics {
+		if fired[mt.Metric.Key()] == 0 {
+			t.Errorf("%s never fired; its parity exercised nothing (fired: %v)", mt.Metric.Key(), fired)
+		}
+	}
+	if fired[""] == 0 {
+		t.Errorf("ε never fired ahead of the metrics (fired: %v)", fired)
+	}
+}
+
+// TestMetricFiresAfterQuietEpsilon: a metric threshold listed after an
+// ε threshold that does not fire still alerts, names itself, and matches
+// the full recompute; the same watch without it stays quiet.
+func TestMetricFiresAfterQuietEpsilon(t *testing.T) {
+	space := incTestSpace(t)
+	for _, pc := range []struct {
+		name string
+		pol  Policy
+	}{
+		{"tumbling", Tumbling{Window: 4096}},
+		{"sliding", Sliding{Window: 4096, Buckets: 4}},
+	} {
+		t.Run(pc.name, func(t *testing.T) {
+			newWatch := func(metrics ...MetricThreshold) *Watch {
+				m, err := New(space, []string{"no", "yes"}, Config{Policy: pc.pol, Alpha: 1, Shards: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := NewWatch(m, 10, 1, metrics...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
+			}
+			quiet := newWatch()
+			armed := newWatch(MetricThreshold{Metric: fairmetrics.WorstRatio{}, Threshold: 0.9})
+			// Positive rates ramp from 0.2 to 0.75 across groups: a
+			// worst-case ratio near 0.27, far under 0.9, while smoothed ε
+			// stays far under 10.
+			var groups, outcomes []int
+			for g := 0; g < space.Size(); g++ {
+				for i := 0; i < 40; i++ {
+					y := 0
+					if i < 8+2*g {
+						y = 1
+					}
+					groups = append(groups, g)
+					outcomes = append(outcomes, y)
+				}
+			}
+			for _, w := range []*Watch{quiet, armed} {
+				if err := w.ObserveBatch(groups, outcomes); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if a, _ := checkBoth(t, "quiet", quiet); a != nil {
+				t.Fatalf("ε-only watch fired: %+v", a)
+			}
+			a, _ := checkBoth(t, "armed", armed)
+			if a == nil || a.Metric != "worst_ratio" || a.Threshold != 0.9 || !(a.Epsilon < 0.9) {
+				t.Fatalf("alert = %+v, want a worst_ratio breach of 0.9", a)
+			}
+			if a.SeenAt != len(groups) {
+				t.Errorf("SeenAt = %d, want %d", a.SeenAt, len(groups))
+			}
+		})
 	}
 }
 
@@ -595,5 +729,30 @@ func TestMinEffectiveGateDefersRefresh(t *testing.T) {
 	inc.mu.Unlock()
 	if nDirty != 0 {
 		t.Fatalf("%d dirty groups left after an above-gate check", nDirty)
+	}
+}
+
+// TestEpsilonOnlyCheckBuildsNoCPT pins the fast path: with only ε armed
+// on a window policy a check never materializes the aggregate's CPT;
+// arming a second metric does.
+func TestEpsilonOnlyCheckBuildsNoCPT(t *testing.T) {
+	space := incTestSpace(t)
+	for _, metrics := range [][]MetricThreshold{nil, {{Metric: fairmetrics.WorstGap{}, Threshold: 2}}} {
+		m, err := New(space, []string{"no", "yes"}, Config{Policy: Sliding{Window: 1024, Buckets: 4}, Alpha: 0.5, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWatch(m, 10, 1, metrics...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(t, w, rng.New(5), 10, false)
+		inc := m.ensureInc()
+		inc.mu.Lock()
+		built := inc.cpt != nil
+		inc.mu.Unlock()
+		if built != (len(metrics) > 0) {
+			t.Errorf("%d metric thresholds: CPT built = %v", len(metrics), built)
+		}
 	}
 }

@@ -174,14 +174,8 @@ func (m *LockedMonitor) Epsilon() (core.EpsilonResult, error) {
 	if err := m.SnapshotInto(m.snap); err != nil {
 		return core.EpsilonResult{}, err
 	}
-	if m.alpha > 0 {
-		if err := m.snap.SmoothedInto(m.cpt, m.alpha, false); err != nil {
-			return core.EpsilonResult{}, err
-		}
-	} else {
-		if err := m.snap.EmpiricalInto(m.cpt); err != nil {
-			return core.EpsilonResult{}, err
-		}
+	if err := m.snap.EstimateInto(m.cpt, m.alpha); err != nil {
+		return core.EpsilonResult{}, err
 	}
 	return core.Epsilon(m.cpt)
 }

@@ -24,9 +24,13 @@
 // Reporting is two-speed. Snapshots and one-off Epsilon calls merge the
 // shards on demand; Watch threshold checks and EpsilonSubsets instead
 // run on an incrementally-maintained aggregate (incremental.go) fed by
-// per-shard dirty-cell logs, so a per-batch check costs O(cells touched
-// since the last check) rather than O(shards × cells) — bit-identical
-// to the full recompute for the integer-count window policies.
+// per-shard dirty-cell logs. A per-batch check syncs that aggregate once
+// and judges every armed threshold against it: window-policy ε costs
+// O(cells touched since the last check), and any other metric (or ε
+// under exponential decay) adds one O(cells) CPT built from the
+// aggregate — never the O(shards × cells) merge. Results are
+// bit-identical to the full recompute for the integer-count window
+// policies.
 //
 // Concurrency semantics: counts for the window policies are plain sums,
 // so after all writers finish, a snapshot is exactly the single-threaded
@@ -42,6 +46,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -75,14 +80,9 @@ func EpsilonOf(s Snapshotter, alpha float64) (core.EpsilonResult, error) {
 	if err := s.SnapshotInto(snap); err != nil {
 		return core.EpsilonResult{}, err
 	}
-	var cpt *core.CPT
-	if alpha > 0 {
-		cpt, err = snap.Smoothed(alpha, false)
-		if err != nil {
-			return core.EpsilonResult{}, err
-		}
-	} else {
-		cpt = snap.Empirical()
+	cpt, err := snap.Estimate(alpha)
+	if err != nil {
+		return core.EpsilonResult{}, err
 	}
 	return core.Epsilon(cpt)
 }
@@ -311,39 +311,13 @@ func (m *Monitor) EffectiveCount() float64 {
 func (m *Monitor) Epsilon() (core.EpsilonResult, error) {
 	m.repMu.Lock()
 	defer m.repMu.Unlock()
-	res, _, err := m.reportLocked()
-	return res, err
-}
-
-// reportLocked snapshots once and returns ε together with the snapshot's
-// total effective mass. repMu must be held.
-func (m *Monitor) reportLocked() (core.EpsilonResult, float64, error) {
 	if err := m.eng.snapshotInto(m.snap, m.ticket.Load()); err != nil {
-		return core.EpsilonResult{}, 0, err
+		return core.EpsilonResult{}, err
 	}
-	res, err := m.epsilonOfSnapLocked()
-	if err != nil {
-		return core.EpsilonResult{}, 0, err
-	}
-	return res, m.snap.Total(), nil
-}
-
-// epsilonOfSnapLocked converts the already-filled snap buffer to a CPT
-// and measures ε. repMu must be held.
-func (m *Monitor) epsilonOfSnapLocked() (core.EpsilonResult, error) {
-	if err := m.snapToCPTLocked(); err != nil {
+	if err := m.snap.EstimateInto(m.cpt, m.alpha); err != nil {
 		return core.EpsilonResult{}, err
 	}
 	return core.Epsilon(m.cpt)
-}
-
-// snapToCPTLocked converts the already-filled snap buffer to the pooled
-// CPT buffer under the monitor's estimator. repMu must be held.
-func (m *Monitor) snapToCPTLocked() error {
-	if m.alpha > 0 {
-		return m.snap.SmoothedInto(m.cpt, m.alpha, false)
-	}
-	return m.snap.EmpiricalInto(m.cpt)
 }
 
 // ensureInc attaches the incremental ε engine, enabling the per-shard
@@ -393,7 +367,7 @@ func (m *Monitor) EpsilonSubsets() ([]core.SubsetEpsilon, error) {
 // Alert describes a threshold crossing.
 type Alert struct {
 	// Metric is the key of the fairness metric that breached; empty for
-	// the primary incremental ε threshold.
+	// the positional ε threshold of NewWatch.
 	Metric string
 	// Epsilon is the estimate that crossed the threshold — the breaching
 	// metric's value when Metric is non-empty.
@@ -415,29 +389,33 @@ type MetricThreshold struct {
 	Threshold float64
 }
 
-// Watch wraps a Monitor with thresholds; ObserveChecked returns a
-// non-nil Alert whenever the running ε estimate is above Threshold — or
-// any configured metric crosses its own limit — and at least
-// minEffective mass has accumulated (avoiding cold-start noise).
+// Watch wraps a Monitor with an ordered list of metric thresholds;
+// ObserveChecked returns a non-nil Alert whenever a metric crosses its
+// limit and at least MinEffective mass has accumulated (avoiding
+// cold-start noise). The positional ε threshold of NewWatch is entry 0
+// of the list, and its alerts carry an empty Metric.
 type Watch struct {
 	*Monitor
-	Threshold    float64
 	MinEffective float64
-	// Metrics are additional per-metric limits, checked in order after
-	// the ε threshold; the first breach wins.
-	Metrics []MetricThreshold
+	// thresholds are the armed limits in check order; the first breach
+	// wins. primary marks thresholds[0] as the positional ε threshold.
+	thresholds []MetricThreshold
+	primary    bool
 }
 
-// NewWatch builds a threshold watch around a monitor. Building a watch
-// attaches the monitor's incremental ε engine: every check drains the
-// cells ingested since the last one instead of re-merging all shards, so
-// per-batch checked ingest stays within a small factor of unchecked.
+// NewWatch builds a threshold watch around a monitor. A positive
+// threshold arms ε as the first entry of the watch's threshold list;
+// the metric thresholds follow in order. threshold may be 0 (no ε
+// entry) only when at least one metric threshold is configured; a NaN
+// metric threshold is rejected, since no value could ever breach it.
 //
-// Additional metric thresholds are optional. Unlike ε they are not
-// maintained incrementally: each check with metrics configured pays one
-// reporting-snapshot merge plus an Eval per metric — the documented cost
-// of multi-metric alerting. threshold may be 0 (disabling the ε check)
-// only when at least one metric threshold is configured.
+// Building a watch attaches the monitor's incremental engine, and every
+// check judges all thresholds against one sync of it: the shards'
+// dirty-cell logs are drained instead of re-merged. Under a window
+// policy ε comes from cached per-outcome extrema (O(groups the drain
+// touched)); every other metric, and ε under exponential decay, is
+// evaluated on one CPT built per check from the running aggregate
+// (O(cells), never O(shards × buckets × cells)).
 func NewWatch(m *Monitor, threshold, minEffective float64, metrics ...MetricThreshold) (*Watch, error) {
 	if m == nil {
 		return nil, fmt.Errorf("stream: nil monitor")
@@ -448,19 +426,27 @@ func NewWatch(m *Monitor, threshold, minEffective float64, metrics ...MetricThre
 	if minEffective < 0 {
 		return nil, fmt.Errorf("stream: negative minEffective")
 	}
+	w := &Watch{Monitor: m, MinEffective: minEffective, primary: threshold > 0}
+	if w.primary {
+		w.thresholds = append(w.thresholds, MetricThreshold{Metric: core.DFEpsilon, Threshold: threshold})
+	}
 	for _, mt := range metrics {
 		if mt.Metric == nil {
 			return nil, fmt.Errorf("stream: nil metric in threshold")
 		}
+		if math.IsNaN(mt.Threshold) {
+			return nil, fmt.Errorf("stream: metric %s: threshold is NaN", mt.Metric.Key())
+		}
 		if err := mt.Metric.Applicable(m.space, m.outcomes); err != nil {
 			return nil, fmt.Errorf("stream: metric %s not applicable: %w", mt.Metric.Key(), err)
 		}
+		w.thresholds = append(w.thresholds, mt)
 	}
 	m.ensureInc()
-	return &Watch{Monitor: m, Threshold: threshold, MinEffective: minEffective, Metrics: metrics}, nil
+	return w, nil
 }
 
-// ObserveChecked records a decision and evaluates the threshold.
+// ObserveChecked records a decision and evaluates the thresholds.
 func (w *Watch) ObserveChecked(group, outcome int) (*Alert, error) {
 	if err := w.Observe(group, outcome); err != nil {
 		return nil, err
@@ -470,11 +456,10 @@ func (w *Watch) ObserveChecked(group, outcome int) (*Alert, error) {
 }
 
 // ObserveBatchChecked records a batch of decisions and evaluates the
-// threshold once after the batch — the per-report cost is amortized over
-// the whole batch, matching the service observe path. Alongside the
+// thresholds once after the batch — the per-report cost is amortized
+// over the whole batch, matching the service observe path. Alongside the
 // possible alert it returns the effective mass measured by the same
-// snapshot, so service responses don't pay a second shard merge to
-// report it.
+// check, so service responses don't pay a shard merge to report it.
 func (w *Watch) ObserveBatchChecked(groups, outcomes []int) (*Alert, float64, error) {
 	if err := w.ObserveBatch(groups, outcomes); err != nil {
 		return nil, 0, err
@@ -482,151 +467,84 @@ func (w *Watch) ObserveBatchChecked(groups, outcomes []int) (*Alert, float64, er
 	return w.check()
 }
 
-// Check evaluates the threshold against the current state without
+// Check evaluates the thresholds against the current state without
 // recording anything: the on-demand form of the per-batch check, for
 // services that need the breach state outside an observe call (e.g.
 // when deciding whether to install a repair plan). It returns the alert
 // (nil when under threshold or below MinEffective) and the effective
-// mass of the snapshot it measured.
+// mass of the state it measured.
 func (w *Watch) Check() (*Alert, float64, error) { return w.check() }
 
-// check evaluates the threshold against the incrementally-maintained
-// aggregate: the shards' dirty-cell logs are drained (O(cells touched
-// since the last check)), evictions/decay applied, and ε re-derived from
-// cached per-group rates — only the groups the drain touched are
-// rescanned. The MinEffective gate runs on the incrementally-maintained
-// mass before any estimator work, so a cold-start ObserveChecked loop
-// pays only the tiny drain per observation, never a shard merge or an ε
-// scan. For the integer-count window policies the result is
-// bit-identical to CheckFull; the property suite pins that equivalence.
+// check syncs the incremental aggregate once at ticket now — draining
+// the cells touched since the last check and applying evictions or
+// decay — and judges every threshold against that state. The
+// MinEffective gate runs on the incrementally-maintained mass before any
+// estimator work, so a cold-start ObserveChecked loop pays only the tiny
+// drain per observation. For the integer-count window policies the
+// result is bit-identical to CheckFull; the property suite pins that
+// equivalence.
 func (w *Watch) check() (*Alert, float64, error) {
 	inc := w.ensureInc()
 	now := w.ticket.Load()
 	inc.mu.Lock()
+	defer inc.mu.Unlock()
 	inc.sync(now)
 	effective := inc.effectiveAt(now)
 	if effective < w.MinEffective {
-		inc.mu.Unlock()
 		return nil, effective, nil
 	}
-	var res core.EpsilonResult
-	var err error
-	if w.Threshold > 0 {
-		res, err = inc.epsilonLocked(now)
-	}
-	inc.mu.Unlock()
-	if w.Threshold > 0 {
-		if err != nil {
-			// A degenerate table (fewer than two populated groups yet) has
-			// no pairs to compare: no alert, not an error. Anything else is
-			// a real failure and must reach the caller.
-			if !errors.Is(err, core.ErrDegenerateSupport) {
-				return nil, effective, fmt.Errorf("stream: threshold check: %w", err)
-			}
-		} else if res.Epsilon > w.Threshold {
-			return &Alert{
-				Epsilon:   res.Epsilon,
-				Threshold: w.Threshold,
-				Witness:   res.Witness,
-				SeenAt:    w.Seen(),
-			}, effective, nil
-		}
-	}
-	alert, err := w.metricAlert()
-	if err != nil {
-		return nil, effective, err
-	}
-	return alert, effective, nil
+	alert, err := w.judge(now, func(m core.Metric) (core.MetricResult, error) {
+		return inc.evalLocked(m, now)
+	})
+	return alert, effective, err
 }
 
-// metricAlert evaluates the configured per-metric thresholds against a
-// fresh reporting snapshot, returning the first breach in configuration
-// order. Unlike the ε path this costs a shard merge; it is a no-op when
-// no metric thresholds are configured.
-func (w *Watch) metricAlert() (*Alert, error) {
-	if len(w.Metrics) == 0 {
-		return nil, nil
-	}
-	w.repMu.Lock()
-	defer w.repMu.Unlock()
-	if err := w.eng.snapshotInto(w.snap, w.ticket.Load()); err != nil {
-		return nil, fmt.Errorf("stream: metric check: %w", err)
-	}
-	return w.metricAlertLocked()
-}
-
-// metricAlertLocked runs the per-metric threshold checks over the
-// already-filled snap buffer. repMu must be held.
-func (w *Watch) metricAlertLocked() (*Alert, error) {
-	if len(w.Metrics) == 0 {
-		return nil, nil
-	}
-	if err := w.snapToCPTLocked(); err != nil {
-		return nil, fmt.Errorf("stream: metric check: %w", err)
-	}
-	for _, mt := range w.Metrics {
-		res, err := mt.Metric.Eval(w.cpt)
-		if err != nil {
-			// Degenerate tables have no pairs to compare under any metric:
-			// no alert, not an error (mirroring the ε path).
-			if errors.Is(err, core.ErrDegenerateSupport) {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("stream: metric check %s: %w", mt.Metric.Key(), err)
-		}
-		if core.MetricBreached(mt.Metric, res.Value, mt.Threshold) {
-			return &Alert{
-				Metric:    mt.Metric.Key(),
-				Epsilon:   res.Value,
-				Threshold: mt.Threshold,
-				Witness:   res.Witness,
-				SeenAt:    w.Seen(),
-			}, nil
-		}
-	}
-	return nil, nil
-}
-
-// CheckFull evaluates the threshold the pre-incremental way: one full
+// CheckFull evaluates the thresholds the pre-incremental way: one full
 // shard merge into the reporting snapshot, then a from-scratch estimator
-// conversion and ε scan. It is retained as the authoritative recompute —
-// the oracle the incremental property tests compare against and the
-// baseline BenchmarkWatchObserveBatchChecked measures the incremental
-// path's speedup over. Semantics match Check exactly.
+// conversion and metric evaluation. It is retained as the authoritative
+// recompute — the oracle the incremental property tests compare against
+// and the baseline BenchmarkWatchObserveBatchChecked measures the
+// incremental path's speedup over. Semantics match Check exactly.
 func (w *Watch) CheckFull() (*Alert, float64, error) {
 	w.repMu.Lock()
-	if err := w.eng.snapshotInto(w.snap, w.ticket.Load()); err != nil {
-		w.repMu.Unlock()
+	defer w.repMu.Unlock()
+	now := w.ticket.Load()
+	if err := w.eng.snapshotInto(w.snap, now); err != nil {
 		return nil, 0, fmt.Errorf("stream: threshold check: %w", err)
 	}
 	effective := w.snap.Total()
 	if effective < w.MinEffective {
-		w.repMu.Unlock()
 		return nil, effective, nil
 	}
-	if w.Threshold > 0 {
-		res, err := w.epsilonOfSnapLocked()
+	if err := w.snap.EstimateInto(w.cpt, w.alpha); err != nil {
+		return nil, effective, fmt.Errorf("stream: threshold check: %w", err)
+	}
+	alert, err := w.judge(now, func(m core.Metric) (core.MetricResult, error) {
+		return m.Eval(w.cpt)
+	})
+	return alert, effective, err
+}
+
+// judge measures each threshold's metric with eval, in order, and
+// returns the first breach as an alert seen at ticket now. A table with
+// fewer than two supported groups has no pairs to compare under any
+// metric: no alert, not an error. Any other failure reaches the caller.
+func (w *Watch) judge(now int64, eval func(core.Metric) (core.MetricResult, error)) (*Alert, error) {
+	for i, mt := range w.thresholds {
+		res, err := eval(mt.Metric)
 		if err != nil {
-			w.repMu.Unlock()
 			if errors.Is(err, core.ErrDegenerateSupport) {
-				return nil, effective, nil
+				return nil, nil
 			}
-			return nil, effective, fmt.Errorf("stream: threshold check: %w", err)
+			return nil, fmt.Errorf("stream: threshold check %s: %w", mt.Metric.Key(), err)
 		}
-		if res.Epsilon > w.Threshold {
-			w.repMu.Unlock()
-			return &Alert{
-				Epsilon:   res.Epsilon,
-				Threshold: w.Threshold,
-				Witness:   res.Witness,
-				SeenAt:    w.Seen(),
-			}, effective, nil
+		if core.MetricBreached(mt.Metric, res.Value, mt.Threshold) {
+			a := &Alert{Epsilon: res.Value, Threshold: mt.Threshold, Witness: res.Witness, SeenAt: int(now)}
+			if i > 0 || !w.primary {
+				a.Metric = mt.Metric.Key()
+			}
+			return a, nil
 		}
 	}
-	alert, err := w.metricAlertLocked()
-	w.repMu.Unlock()
-	if err != nil {
-		return nil, effective, err
-	}
-	return alert, effective, nil
+	return nil, nil
 }

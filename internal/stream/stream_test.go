@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -230,6 +231,22 @@ func TestNewWatchValidation(t *testing.T) {
 	}
 	if _, err := NewWatch(m, 1, -1); err == nil {
 		t.Error("negative minEffective accepted")
+	}
+	if _, err := NewWatch(m, 0, 0, MetricThreshold{}); err == nil {
+		t.Error("nil metric accepted")
+	}
+}
+
+// TestNewWatchRejectsNaNMetricThreshold: a NaN limit can never be
+// breached, so accepting it would arm a threshold that silently never
+// fires — with or without ε armed beside it.
+func TestNewWatchRejectsNaNMetricThreshold(t *testing.T) {
+	m, _ := NewMonitor(twoGroupSpace(t), []string{"no", "yes"}, 100, 0)
+	for _, eps := range []float64{0, 1} {
+		_, err := NewWatch(m, eps, 0, MetricThreshold{Metric: core.DFEpsilon, Threshold: math.NaN()})
+		if err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("eps=%v: NaN metric threshold: err = %v, want a NaN rejection", eps, err)
+		}
 	}
 }
 

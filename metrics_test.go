@@ -3,6 +3,8 @@ package fairness_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -238,6 +240,83 @@ func TestWatchMetricThresholds(t *testing.T) {
 	if _, err := fairness.NewWatch(triMon, 0, 20,
 		fairness.MetricThreshold{Metric: worstRatio, Threshold: 0.8}); err == nil {
 		t.Error("worst_ratio watch accepted on a three-outcome monitor")
+	}
+}
+
+// TestWatchRejectsNaNMetricThreshold: a NaN limit never breaches, so
+// NewWatch refuses it rather than arming a threshold that silently
+// never fires.
+func TestWatchRejectsNaNMetricThreshold(t *testing.T) {
+	space := fairness.MustSpace(fairness.Attr{Name: "g", Values: []string{"a", "b"}})
+	worstRatio, err := fairness.MetricByKey("worst_ratio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{0, 1} {
+		mon, err := fairness.NewTumblingMonitor(space, []string{"deny", "approve"}, 1<<10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fairness.NewWatch(mon, eps, 20,
+			fairness.MetricThreshold{Metric: worstRatio, Threshold: math.NaN()}); err == nil {
+			t.Errorf("eps=%v: NaN metric threshold accepted", eps)
+		}
+	}
+}
+
+// TestMultiMetricAuditMatchesOneMetric: an audit over several metrics
+// with bootstrap and credible intervals gives every metric section — and
+// the top-level ε fields — exactly the bytes a one-metric audit with the
+// same seed gives, because each replicate table and posterior draw is
+// made once and shared by all metrics.
+func TestMultiMetricAuditMatchesOneMetric(t *testing.T) {
+	counts := datasets.Admissions()
+	run := func(keys ...string) *fairness.Report {
+		opts := []fairness.Option{
+			fairness.WithBootstrap(150, 0.9),
+			fairness.WithCredible(120, 1, 0.9),
+			fairness.WithSeed(7),
+		}
+		if len(keys) > 0 {
+			opts = append(opts, fairness.WithMetrics(keys...))
+		}
+		rep, err := fairness.MustAuditor(counts.Space(), counts.Outcomes(), opts...).Run(context.Background(), counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	section := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	keys := []string{"worst_gap", "worst_ratio", "alpha_if", "epsilon"}
+	multi := run(keys...)
+	if len(multi.Metrics) != len(keys) {
+		t.Fatalf("metrics sections = %d, want %d", len(multi.Metrics), len(keys))
+	}
+	for j, k := range keys {
+		one := run(k)
+		if got, want := section(multi.Metrics[j]), section(one.Metrics[0]); got != want {
+			t.Errorf("%s section differs in a multi-metric audit:\n got %s\nwant %s", k, got, want)
+		}
+		if multi.Metrics[j].Bootstrap == nil || multi.Metrics[j].Credible == nil {
+			t.Errorf("%s section lacks its uncertainty intervals", k)
+		}
+	}
+	epsOnly := run()
+	multi.Metrics = nil
+	if got, want := section(multi), section(epsOnly); got != want {
+		t.Errorf("top-level ε fields differ in a multi-metric audit:\n got %s\nwant %s", got, want)
+	}
+	// ε requested as a metric is the same measurement as the top-level
+	// fields.
+	eps := run("epsilon").Metrics[0]
+	if eps.Value != epsOnly.Epsilon || *eps.Bootstrap != *epsOnly.Bootstrap || *eps.Credible != *epsOnly.Credible {
+		t.Errorf("epsilon metric section %+v disagrees with the top-level ε fields", eps)
 	}
 }
 

@@ -134,22 +134,25 @@ type Alert = stream.Alert
 // metrics (e.g. WorstRatio under the 0.8 disparate-impact line).
 type MetricThreshold = stream.MetricThreshold
 
-// Watch wraps a Monitor with thresholds: ObserveChecked returns a
-// non-nil Alert whenever the running ε estimate exceeds the threshold —
-// or any configured metric crosses its own limit — and at least
-// minEffective effective mass has accumulated (avoiding cold-start
-// noise). The embedded Monitor remains fully usable, including Audit.
+// Watch wraps a Monitor with an ordered list of thresholds:
+// ObserveChecked returns a non-nil Alert whenever a watched metric
+// crosses its limit — ε first, then each metric threshold in order, the
+// first breach winning — and at least minEffective effective mass has
+// accumulated (avoiding cold-start noise). The embedded Monitor remains
+// fully usable, including Audit.
 type Watch struct {
 	*Monitor
 	inner *stream.Watch
 }
 
 // NewWatch builds a threshold watch around a monitor. threshold must be
-// positive and minEffective non-negative. Optional per-metric thresholds
-// extend alerting beyond ε; unlike ε they are evaluated from a reporting
-// snapshot per check (the documented cost of multi-metric alerting), and
-// threshold may be 0 — disabling the ε check — when at least one metric
-// threshold is given.
+// positive and minEffective non-negative; threshold may be 0 — no ε
+// check — when at least one metric threshold is given. Metric
+// thresholds must not be NaN. ε and every metric threshold are judged
+// against the same incrementally-maintained state per check: ε under a
+// window policy from cached per-outcome extrema, every other metric
+// (and ε under exponential decay) from one CPT of the running aggregate
+// per check, O(cells) rather than a merge of every shard.
 func NewWatch(m *Monitor, threshold, minEffective float64, metrics ...MetricThreshold) (*Watch, error) {
 	if m == nil {
 		return nil, fmt.Errorf("fairness: NewWatch: nil monitor")
@@ -181,14 +184,14 @@ func (w *Watch) ObserveBatchChecked(groups, outcomes []int) (*Alert, float64, er
 // reporting state outside an observe call (e.g. confirming the ε breach
 // that motivated a repair-plan request). Returns the alert (nil when
 // under threshold or below the minimum effective mass) and the measured
-// effective mass. Like every Watch check it runs on the incremental ε
-// engine — O(cells changed since the last check), not O(shards × cells).
+// effective mass. Like every Watch check it runs on the incremental
+// engine, never a merge of every shard.
 func (w *Watch) Check() (*Alert, float64, error) { return w.inner.Check() }
 
-// CheckFull is Check computed the pre-incremental way, from a full shard
-// merge and a from-scratch ε scan: the authoritative recompute retained
-// for verification and benchmarking. For the integer-count window
-// policies its result is bit-identical to Check.
+// CheckFull is Check computed the pre-incremental way, from a full
+// shard merge and a from-scratch evaluation: the authoritative
+// recompute retained for verification and benchmarking. For the
+// integer-count window policies its result is bit-identical to Check.
 func (w *Watch) CheckFull() (*Alert, float64, error) { return w.inner.CheckFull() }
 
 // WriteState serializes the monitor's full engine state — tickets,

@@ -315,15 +315,9 @@ func (r *Repairer) Plan(ctx context.Context, counts *Counts) (*RepairPlan, error
 	if !sameAttrs(r.space, counts.Space()) || !sameStrings(r.outcomes, counts.Outcomes()) {
 		return nil, fmt.Errorf("fairness: Repairer.Plan: counts do not match the repairer's space/outcomes")
 	}
-	var cpt *core.CPT
-	var err error
-	if r.cfg.alpha > 0 {
-		cpt, err = counts.Smoothed(r.cfg.alpha, false)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		cpt = counts.Empirical()
+	cpt, err := counts.Estimate(r.cfg.alpha)
+	if err != nil {
+		return nil, err
 	}
 	return r.planCPT(ctx, cpt, counts.Total())
 }

@@ -165,9 +165,9 @@ type MetricLadderRow struct {
 // MetricReport is the audit result for one requested fairness metric
 // beyond the always-present ε: the full-intersection value with witness,
 // the per-subset ladder, and any requested bootstrap/credible
-// uncertainty computed by the same pooled-CPT resampling engines as ε
-// (identical resampled tables — each metric's engine is seeded with the
-// same seed).
+// uncertainty. ε's own top-level fields are filled from the same
+// section type, and every metric is measured over the same lattice
+// marginals, resampled tables and posterior draws as ε.
 type MetricReport struct {
 	Key         string `json:"key"`
 	Description string `json:"description"`

@@ -19,7 +19,9 @@
 # single-core hosts can only show the serial batching win) and
 # BenchmarkWatchObserveBatchChecked, whose incremental checked-ingest
 # path this script gates at ≥ 5× faster than the retained
-# snapshot-recompute baseline.
+# snapshot-recompute baseline. Its metrics-incremental/metrics-snapshot
+# pair (worst_ratio and alpha_if armed beside ε) lands in the JSON too,
+# and the gate run prints that pair's ratio without gating it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -68,7 +70,12 @@ go test -run 'xxx' -bench 'BenchmarkWatchObserveBatchChecked' -benchtime "${GATE
 awk '
 /^BenchmarkWatchObserveBatchChecked\/incremental/ { inc = $3 }
 /^BenchmarkWatchObserveBatchChecked\/snapshot/    { snap = $3 }
+/^BenchmarkWatchObserveBatchChecked\/metrics-incremental/ { minc = $3 }
+/^BenchmarkWatchObserveBatchChecked\/metrics-snapshot/    { msnap = $3 }
 END {
+  if (minc != "" && msnap != "") {
+    printf "metric-armed check: incremental %s ns/op, snapshot %s ns/op (%.1fx)\n", minc, msnap, msnap / minc
+  }
   if (inc == "" || snap == "") {
     print "speedup gate FAILED: benchmark pair missing from output"
     exit 1
