@@ -234,31 +234,6 @@ func BenchmarkSmoothedVsEmpirical(b *testing.B) {
 	})
 }
 
-// BenchmarkBayesPosterior measures posterior sampling for the credible-
-// interval analysis (100 Θ samples per iteration).
-func BenchmarkBayesPosterior(b *testing.B) {
-	train, _, err := census.Generate(census.SmallConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	counts, err := census.IncomeCounts(census.Space(), train)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := bayes.NewDirichletMultinomial(counts, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := model.SamplePosterior(context.Background(), 100, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLaplaceSweep measures the §3.2 noise-route ablation (numeric
 // integration of the noisy threshold).
 func BenchmarkLaplaceSweep(b *testing.B) {
@@ -340,60 +315,6 @@ func BenchmarkRepair(b *testing.B) {
 
 // epsOnly is the metric list of the ε-only resampling benchmarks.
 var epsOnly = []core.Metric{core.DFEpsilon}
-
-// BenchmarkEpsilonBootstrap is the headline engine benchmark: a 100k-
-// observation contingency table over the 16-group census space,
-// bootstrapped with B=200 replicates. "engine" is the parallel O(cells)
-// multinomial path; "serial-alias" is the retained pre-engine baseline
-// that redraws all 100k observations per replicate from an alias table.
-// The engine's allocations stay O(1) per replicate (worker-pool scratch
-// only), which ReportAllocs makes visible.
-func BenchmarkEpsilonBootstrap(b *testing.B) {
-	space := census.Space()
-	counts := core.MustCounts(space, census.IncomeValues)
-	// Deterministic skewed fill totalling exactly 100k observations.
-	const n = 100_000
-	r := rng.New(41)
-	weights := make([]float64, space.Size()*2)
-	for i := range weights {
-		weights[i] = 0.2 + r.Float64()
-	}
-	var wsum float64
-	for _, w := range weights {
-		wsum += w
-	}
-	placed := 0
-	for i, w := range weights {
-		k := int(float64(n) * w / wsum)
-		if i == len(weights)-1 {
-			k = n - placed
-		}
-		counts.MustAdd(i/2, i%2, float64(k))
-		placed += k
-	}
-	if counts.Total() != n {
-		b.Fatalf("fill error: total %v", counts.Total())
-	}
-	const replicates = 200
-	b.Run("engine", func(b *testing.B) {
-		rr := rng.New(8)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := resample.Bootstrap(context.Background(), epsOnly, counts, 1, replicates, 0.95, rr, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("serial-alias", func(b *testing.B) {
-		rr := rng.New(8)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := resample.EpsilonBootstrapSerialAlias(counts, 1, replicates, 0.95, rr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkMultinomialDraw isolates the per-replicate resampling cost:
 // one O(cells) conditional-binomial multinomial draw versus the O(n)
@@ -477,7 +398,7 @@ func BenchmarkBootstrap(b *testing.B) {
 // BenchmarkMonitorObserve measures the streaming monitor's per-decision
 // cost (O(1) amortized) on the sharded engine.
 func BenchmarkMonitorObserve(b *testing.B) {
-	m, err := stream.NewMonitor(census.Space(), census.IncomeValues, 5000, 0)
+	m, err := stream.New(census.Space(), census.IncomeValues, stream.Config{Policy: stream.Exponential{HalfLife: 5000}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -494,83 +415,6 @@ func BenchmarkMonitorObserve(b *testing.B) {
 		if err := m.Observe(groups[i%4096], outcomes[i%4096]); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkMonitorObserveParallel is the headline streaming benchmark:
-// batched ingest (64 observations per batch, the dfserve observe-path
-// shape) through the sharded engine versus the retained single-mutex
-// LockedMonitor baseline, serially and with one ingesting goroutine per
-// GOMAXPROCS. Each iteration is one 64-observation batch; the sharded
-// engine's parallel ns/op should approach its serial ns/op divided by
-// the core count, while the locked baseline serializes.
-// scripts/bench_stream.sh records all four as BENCH_stream.json.
-func BenchmarkMonitorObserveParallel(b *testing.B) {
-	space := census.Space()
-	const batch = 64
-	const pool = 1 << 16
-	r := rng.New(9)
-	groups := make([]int, pool)
-	outcomes := make([]int, pool)
-	for i := range groups {
-		groups[i] = r.Intn(space.Size())
-		outcomes[i] = r.Intn(2)
-	}
-	offsets := pool/batch - 1
-
-	engines := []struct {
-		name string
-		make func() (func(g, y []int) error, error)
-	}{
-		{"sharded", func() (func(g, y []int) error, error) {
-			m, err := stream.NewMonitor(space, census.IncomeValues, 5000, 0)
-			if err != nil {
-				return nil, err
-			}
-			return m.ObserveBatch, nil
-		}},
-		{"locked", func() (func(g, y []int) error, error) {
-			m, err := stream.NewLocked(space, census.IncomeValues, 5000, 0)
-			if err != nil {
-				return nil, err
-			}
-			return m.ObserveBatch, nil
-		}},
-	}
-	for _, eng := range engines {
-		b.Run(eng.name+"-serial", func(b *testing.B) {
-			observe, err := eng.make()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := (i % offsets) * batch
-				if err := observe(groups[off:off+batch], outcomes[off:off+batch]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(eng.name+"-parallel", func(b *testing.B) {
-			observe, err := eng.make()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					off := (i % offsets) * batch
-					i++
-					if err := observe(groups[off:off+batch], outcomes[off:off+batch]); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
 	}
 }
 
@@ -661,7 +505,7 @@ func BenchmarkWatchObserveBatchChecked(b *testing.B) {
 // 64k observations.
 func BenchmarkMonitorSnapshot(b *testing.B) {
 	space := census.Space()
-	m, err := stream.NewMonitor(space, census.IncomeValues, 5000, 1)
+	m, err := stream.New(space, census.IncomeValues, stream.Config{Policy: stream.Exponential{HalfLife: 5000}, Alpha: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -743,8 +587,8 @@ func BenchmarkDistBatch(b *testing.B) {
 		name string
 		d    dist.Dist
 	}{
-		{"normal", dist.MustNormal(10, 2)},
-		{"laplace", dist.MustLaplace(10, 1.5)},
+		{"normal", dist.Normal{Mu: 10, Sigma: 2}},
+		{"laplace", dist.Laplace{Mu: 10, B: 1.5}},
 	}
 	for _, f := range families {
 		b.Run(f.name+"/scalar", func(b *testing.B) {
@@ -769,7 +613,7 @@ func BenchmarkDistBatch(b *testing.B) {
 // BenchmarkDistBatchDensityGrid measures the full Figure 2-style sweep:
 // grid construction plus batched density evaluation.
 func BenchmarkDistBatchDensityGrid(b *testing.B) {
-	d := dist.MustNormal(10, 1)
+	d := dist.Normal{Mu: 10, Sigma: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, pdf := dist.DensityGrid(d, 4, 16, 4096); len(pdf) != 4096 {

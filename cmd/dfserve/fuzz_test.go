@@ -133,3 +133,108 @@ func FuzzDecodeBinaryBatch(f *testing.F) {
 		}
 	})
 }
+
+// durableFuzzServer boots a registry over a fresh -data-dir and returns a
+// request helper plus the WAL's current sequence number, so a fuzz
+// target can check which requests reached the log.
+func durableFuzzServer(f *testing.F) (serve func(method, path string, body []byte) *httptest.ResponseRecorder, walSeq func() uint64) {
+	sv := newServer(durableConfig(f.TempDir(), 0))
+	f.Cleanup(func() { sv.reg.closeStore() })
+	if reason := sv.reg.store.degraded(); reason != "" {
+		f.Fatalf("durable registry degraded at boot: %s", reason)
+	}
+	serve = func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		sv.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	return serve, sv.reg.store.log.Seq
+}
+
+// checkMutation holds a mutating request to the decoder contract: no
+// 5xx, a JSON error body on every 4xx, no WAL record for a rejected
+// request and exactly one for an accepted one.
+func checkMutation(t *testing.T, rec *httptest.ResponseRecorder, raw []byte, before, after uint64) {
+	t.Helper()
+	switch {
+	case rec.Code >= 500:
+		t.Fatalf("returned %d on %q: %s", rec.Code, raw, rec.Body)
+	case rec.Code >= 400:
+		var e map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e["error"] == "" {
+			t.Fatalf("4xx without an error body on %q: %s", raw, rec.Body)
+		}
+		if after != before {
+			t.Fatalf("rejected request %q (%d) appended %d WAL record(s)", raw, rec.Code, after-before)
+		}
+	default:
+		if after != before+1 {
+			t.Fatalf("accepted request %q (%d) appended %d WAL records, want 1", raw, rec.Code, after-before)
+		}
+	}
+}
+
+// FuzzObserveJSON drives arbitrary JSON observe bodies at a durable
+// monitor armed with an ε and a metric threshold. The seeds are the
+// bodies of TestMonitorObserveForms plus the accepted forms.
+func FuzzObserveJSON(f *testing.F) {
+	serve, walSeq := durableFuzzServer(f)
+	if rec := serve(http.MethodPut, "/v1/monitors/fz",
+		[]byte(`{"space": [{"name": "g", "values": ["a", "b"]}], "outcomes": ["deny", "approve"],
+			"window": {"size": 4096, "buckets": 4}, "threshold": 0.9, "min_effective": 4,
+			"metrics": [{"key": "worst_ratio", "threshold": 0.8}]}`)); rec.Code != http.StatusCreated {
+		f.Fatalf("monitor setup: %d %s", rec.Code, rec.Body)
+	}
+
+	f.Add([]byte(`{"observations": [{"group": {"g": "a"}, "outcome": "approve"}, {"group": {"g": "b"}, "outcome": "deny"}]}`))
+	f.Add([]byte(`{"groups": [0, 1, 1], "outcomes": [1, 0, 1]}`))
+	f.Add([]byte(`{"observations": [{"group": {"g": "a"}, "outcome": "deny"}], "groups": [0], "outcomes": [0]}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"groups": [0, 1], "outcomes": [0]}`))
+	f.Add([]byte(`{"groups": [7], "outcomes": [0]}`))
+	f.Add([]byte(`{"groups": [-1], "outcomes": [0]}`))
+	f.Add([]byte(`{"groups": [0], "outcomes": [2]}`))
+	f.Add([]byte(`{"observations": [{"group": {"g": "a"}, "outcome": "zzz"}]}`))
+	f.Add([]byte(`{"observations": [{"group": {"g": "q"}, "outcome": "deny"}]}`))
+	f.Add([]byte(`{"observations": [{"group": {}, "outcome": "deny"}]}`))
+	f.Add([]byte(`{"groups": [0], "outcomes": [1], "extra": true}`))
+	f.Add([]byte(`{"groups": [0`))
+	f.Add([]byte(`[1, 2]`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		before := walSeq()
+		rec := serve(http.MethodPost, "/v1/monitors/fz/observe", raw)
+		checkMutation(t, rec, raw, before, walSeq())
+	})
+}
+
+// FuzzPutMonitorSpec drives arbitrary monitor specs at PUT
+// /v1/monitors/{id} on a durable registry. The seeds are the bodies of
+// TestMonitorPutValidation and the unknown-metric case, plus accepted
+// specs for each policy.
+func FuzzPutMonitorSpec(f *testing.F) {
+	serve, walSeq := durableFuzzServer(f)
+
+	space := `"space": [{"name": "g", "values": ["a", "b"]}], "outcomes": ["x", "y"]`
+	f.Add([]byte(`{` + space + `, "half_life": 10, "alpha": 0.5}`))
+	f.Add([]byte(`{` + space + `, "window": {"size": 64, "buckets": 4}, "threshold": 1, "min_effective": 8}`))
+	f.Add([]byte(`{` + space + `, "window": {"size": 64}, "metrics": [{"key": "worst_ratio", "threshold": 0.8}]}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{` + space + `}`))
+	f.Add([]byte(`{` + space + `, "half_life": 10, "window": {"size": 8}}`))
+	f.Add([]byte(`{` + space + `, "half_life": -5}`))
+	f.Add([]byte(`{` + space + `, "window": {"size": 7, "buckets": 2}}`))
+	f.Add([]byte(`{"space": [{"name": "g", "values": ["a", "b"]}], "outcomes": ["x"], "half_life": 10}`))
+	f.Add([]byte(`{"space": [], "outcomes": ["x", "y"], "half_life": 10}`))
+	f.Add([]byte(`{"bogus": 1}`))
+	f.Add([]byte(`{` + space + `, "half_life": 10, "threshold": -1}`))
+	f.Add([]byte(`{` + space + `, "window": {"size": 64}, "metrics": [{"key": "bogus", "threshold": 1}]}`))
+	f.Add([]byte(`{"space": [{"name": "g", "values": ["a", "a"]}], "outcomes": ["x", "y"], "half_life": 10}`))
+	f.Add([]byte(`{"space": [{"name": "g", "values": ["a", "b"]}`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		before := walSeq()
+		rec := serve(http.MethodPut, "/v1/monitors/fz", raw)
+		checkMutation(t, rec, raw, before, walSeq())
+	})
+}

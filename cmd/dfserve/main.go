@@ -260,12 +260,6 @@ func newServer(cfg serverConfig) *server {
 	return s
 }
 
-// newMux builds the service's routes without persistence; split from
-// main for httptest use. Each mux owns a fresh monitor registry.
-func newMux(cfg serverConfig) *http.ServeMux {
-	return newServer(cfg).mux
-}
-
 // auditRequest is the POST /v1/audit body: the protected space, the
 // outcome vocabulary, exactly one of counts/observations, and options
 // mirroring the fairness.Option surface.

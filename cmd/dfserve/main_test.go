@@ -984,3 +984,9 @@ func TestMonitorAlertInfiniteEpsilon(t *testing.T) {
 		t.Fatalf("watched observe response missing effective_count: %s", b)
 	}
 }
+
+// newMux builds the service's routes without persistence; split from
+// main for httptest use. Each mux owns a fresh monitor registry.
+func newMux(cfg serverConfig) *http.ServeMux {
+	return newServer(cfg).mux
+}

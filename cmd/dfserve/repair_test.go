@@ -37,10 +37,11 @@ func expandAdmissions(scale int) (groups, outcomes []int) {
 		}
 	}
 	r := rng.New(42)
-	r.Shuffle(len(groups), func(i, j int) {
+	for i := len(groups) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
 		groups[i], groups[j] = groups[j], groups[i]
 		outcomes[i], outcomes[j] = outcomes[j], outcomes[i]
-	})
+	}
 	return groups, outcomes
 }
 

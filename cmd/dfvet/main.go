@@ -1,7 +1,10 @@
 // Command dfvet is the repository's custom static-analysis suite: a
 // multichecker that runs the five project-specific analyzers over the
 // module and reports every invariant violation with file:line
-// positions, vet-style.
+// positions, vet-style. A sixth check, deadcode, flags internal
+// packages and exported internal identifiers that no non-test code
+// uses; it counts references among the loaded packages (plus the
+// dfbench module when present), so run it over ./....
 //
 //	dfvet ./...             # run all analyzers over the whole module
 //	dfvet -only hotpath .   # run a single analyzer
@@ -64,18 +67,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, a := range analyzers {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
+		fmt.Fprintf(stdout, "%-12s %s\n", deadcodeName, deadcodeDoc)
 		return 0
 	}
 
 	suite := analyzers
+	deadcode := true
 	if *only != "" {
-		byName := map[string]*framework.Analyzer{}
+		byName := map[string]*framework.Analyzer{deadcodeName: nil}
 		for _, a := range analyzers {
 			byName[a.Name] = a
 		}
-		suite = nil
+		suite, deadcode = nil, false
 		for _, name := range strings.Split(*only, ",") {
 			name = strings.TrimSpace(name)
+			if name == deadcodeName {
+				deadcode = true
+				continue
+			}
 			a, ok := byName[name]
 			if !ok {
 				known := make([]string, 0, len(byName))
@@ -100,10 +109,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dfvet: %v\n", err)
 		return 2
 	}
-	pkgs, err := framework.Load(cwd, patterns...)
+	pkgs, all, err := loadWithBench(cwd, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "dfvet: %v\n", err)
 		return 2
+	}
+	if deadcode {
+		suite = append(suite[:len(suite):len(suite)], deadcodeAnalyzer(all))
 	}
 
 	diags, err := framework.RunAnalyzers(suite, pkgs)

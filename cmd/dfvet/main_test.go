@@ -10,10 +10,10 @@ import (
 	"repro/internal/analysis/framework"
 )
 
-// TestRepoIsClean runs the full analyzer suite over the whole module and
-// fails on any finding, making "dfvet is clean" part of the ordinary
-// test gate — a seeded violation anywhere in the repo fails `go test
-// ./...` too, not just the CI lint step.
+// TestRepoIsClean runs the full analyzer suite, deadcode included, over
+// the whole module and fails on any finding, making "dfvet is clean"
+// part of the ordinary test gate — a seeded violation anywhere in the
+// repo fails `go test ./...` too, not just the CI lint step.
 func TestRepoIsClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -22,11 +22,12 @@ func TestRepoIsClean(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("module root not found at %s: %v", root, err)
 	}
-	pkgs, err := framework.Load(root, "./...")
+	pkgs, all, err := loadWithBench(root, "./...")
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	diags, err := framework.RunAnalyzers(analyzers, pkgs)
+	suite := append(analyzers[:len(analyzers):len(analyzers)], deadcodeAnalyzer(all))
+	diags, err := framework.RunAnalyzers(suite, pkgs)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
@@ -123,5 +124,65 @@ func TestRunFlagsSeededViolation(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "finding(s)") {
 		t.Errorf("stderr missing findings summary: %q", errOut.String())
+	}
+}
+
+// TestRunFlagsDeadCode seeds a module with an internal package nothing
+// imports and exported identifiers that only tests or their own
+// declaration reference; dfvet must exit 1 naming exactly those, and
+// must count a reference from the dfbench module as a real use.
+func TestRunFlagsDeadCode(t *testing.T) {
+	dir := t.TempDir()
+	mustWrite := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustWrite("go.mod", "module repro\n\ngo 1.24\n")
+	mustWrite("internal/orphan/orphan.go", "package orphan\n\nfunc Helper() int { return 1 }\n")
+	mustWrite("internal/lib/lib.go", "package lib\n\n"+
+		"func Used() int { return Recursive(1) }\n\n"+
+		"func Recursive(n int) int {\n\tif n == 0 {\n\t\treturn 0\n\t}\n\treturn Recursive(n - 1)\n}\n\n"+
+		"func SelfOnly(n int) int {\n\tif n == 0 {\n\t\treturn 0\n\t}\n\treturn SelfOnly(n - 1)\n}\n\n"+
+		"func TestOnly() int { return 2 }\n\n"+
+		"func BenchOnly() int { return 3 }\n")
+	mustWrite("internal/lib/lib_test.go", "package lib\n\n"+
+		"import \"testing\"\n\n"+
+		"func TestTestOnly(t *testing.T) { _ = TestOnly() }\n")
+	mustWrite("cmd/app/main.go", "package main\n\n"+
+		"import \"repro/internal/lib\"\n\n"+
+		"func main() { println(lib.Used()) }\n")
+	mustWrite("dfbench/go.mod", "module repro/dfbench\n\ngo 1.24\n\nrequire repro v0.0.0\n\nreplace repro => ../\n")
+	mustWrite("dfbench/main.go", "package main\n\n"+
+		"import \"repro/internal/lib\"\n\n"+
+		"func main() { println(lib.BenchOnly()) }\n")
+	t.Chdir(dir)
+
+	var out, errOut bytes.Buffer
+	if code := run([]string{"./..."}, &out, &errOut); code != 1 {
+		t.Fatalf("exited %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"[deadcode] package repro/internal/orphan has no non-test importer",
+		"[deadcode] SelfOnly is exported but no non-test code references it",
+		"[deadcode] TestOnly is exported but no non-test code references it",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("diagnostics missing %q:\n%s", want, got)
+		}
+	}
+	for _, clean := range []string{"Helper", "Used ", "Recursive", "BenchOnly"} {
+		if strings.Contains(got, clean) {
+			t.Errorf("diagnostics flag %q, which is either in a flagged package or used:\n%s", clean, got)
+		}
+	}
+	if n := strings.Count(got, "[deadcode]"); n != 3 {
+		t.Errorf("got %d deadcode findings, want 3:\n%s", n, got)
 	}
 }

@@ -10,7 +10,7 @@
 // expressions; every regexp must match a diagnostic reported on that
 // line, every diagnostic must be matched by an expectation, and a
 // fixture line without a want comment must produce no diagnostics.
-package analysistest
+package analysistest //df:ignore deadcode — a test helper: only the analyzers' tests import it
 
 import (
 	"fmt"

@@ -94,9 +94,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Fset returns the package's file set.
-func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
-
 // Files returns the package's parsed files.
 func (p *Pass) Files() []*ast.File { return p.Pkg.Syntax }
 

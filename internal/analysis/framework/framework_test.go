@@ -111,7 +111,7 @@ func TestRunSingleHelpersAndIgnore(t *testing.T) {
 	pkg := loadToy(t)
 	sawType := false
 	a := toycheck(func(pass *Pass, call *ast.CallExpr) {
-		if pass.Fset() == nil || pass.TypesInfo() == nil || len(pass.Files()) != 1 {
+		if pass.TypesInfo() == nil || len(pass.Files()) != 1 {
 			t.Error("Pass accessors returned empty state")
 		}
 		if pass.TypeOf(call) != nil {

@@ -68,42 +68,30 @@ func TestPosteriorPredictiveIsEq7(t *testing.T) {
 	}
 }
 
-func TestSamplePosteriorShapeAndDeterminism(t *testing.T) {
-	c := demoCounts(t)
-	m, _ := NewDirichletMultinomial(c, 1)
-	s1, err := m.SamplePosterior(context.Background(), 5, rng.New(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := m.SamplePosterior(context.Background(), 5, rng.New(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s1) != 5 {
-		t.Fatalf("got %d samples", len(s1))
-	}
-	for i := range s1 {
-		for g := 0; g < 2; g++ {
-			for y := 0; y < 2; y++ {
-				if s1[i].Prob(g, y) != s2[i].Prob(g, y) {
-					t.Fatal("posterior sampling not deterministic under fixed seed")
-				}
-			}
+// posteriorDraws materializes the θ set Credible evaluates for seed r:
+// sample i is drawn from RNG substream (seed, i).
+func posteriorDraws(t *testing.T, m *DirichletMultinomial, n int, r *rng.RNG) []*core.CPT {
+	t.Helper()
+	alphaPost, groupTotals := m.posteriorParams()
+	base := r.Uint64()
+	probs := make([]float64, len(m.counts.Outcomes()))
+	s := rng.New(0)
+	out := make([]*core.CPT, n)
+	for i := range out {
+		cpt := core.MustCPT(m.counts.Space(), m.counts.Outcomes())
+		s.SeedStream(base, uint64(i))
+		if err := sampleInto(cpt, s, probs, alphaPost, groupTotals); err != nil {
+			t.Fatal(err)
 		}
+		out[i] = cpt
 	}
-	if _, err := m.SamplePosterior(context.Background(), 0, rng.New(1)); err == nil {
-		t.Error("n=0 accepted")
-	}
+	return out
 }
 
 func TestSamplePosteriorRowsAreDistributions(t *testing.T) {
 	c := demoCounts(t)
 	m, _ := NewDirichletMultinomial(c, 0.5)
-	samples, err := m.SamplePosterior(context.Background(), 50, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range samples {
+	for _, s := range posteriorDraws(t, m, 50, rng.New(7)) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("invalid sampled CPT: %v", err)
 		}
@@ -215,40 +203,17 @@ func TestPosteriorDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 	}
-	// SamplePosterior shares the substream layout, so the materialized
-	// CPTs must also be worker-count independent.
-	s1, err := m.samplePosterior(context.Background(), 20, rng.New(33), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s8, err := m.samplePosterior(context.Background(), 20, rng.New(33), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s1 {
-		for g := 0; g < 2; g++ {
-			for y := 0; y < 2; y++ {
-				if s1[i].Prob(g, y) != s8[i].Prob(g, y) {
-					t.Fatalf("sample %d CPT differs across worker counts", i)
-				}
-			}
-		}
-	}
 }
 
 // TestEpsilonCredibleMatchesSamplePosterior: Credible's pooled-
-// buffer path must evaluate exactly the θ set SamplePosterior returns for
-// the same seed.
+// buffer path must evaluate exactly the θ set posteriorDraws
+// materializes for the same seed.
 func TestEpsilonCredibleMatchesSamplePosterior(t *testing.T) {
 	c := demoCounts(t)
 	m, _ := NewDirichletMultinomial(c, 1)
 	const n = 100
-	thetas, err := m.SamplePosterior(context.Background(), n, rng.New(55))
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := make([]float64, 0, n)
-	for _, theta := range thetas {
+	for _, theta := range posteriorDraws(t, m, n, rng.New(55)) {
 		res, err := core.Epsilon(theta)
 		if err != nil {
 			t.Fatal(err)

@@ -138,16 +138,6 @@ func IncomeRate(gender, race, nationality int) float64 {
 	return math.Min(0.95, math.Max(0.01, rate))
 }
 
-// CellWeight returns the generating population share of the
-// (gender, race, nationality) intersection.
-func CellWeight(gender, race, nationality int) float64 {
-	w := raceNatWeight[race][nationality]
-	if gender == Male {
-		return w * maleShare
-	}
-	return w * (1 - maleShare)
-}
-
 // Space returns the protected-attribute space of the case study, in the
 // paper's order (gender, race, nationality).
 func Space() *core.Space {

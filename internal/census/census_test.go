@@ -359,7 +359,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if g.NumRows() != 200 {
 		t.Fatalf("round-trip rows %d", g.NumRows())
 	}
-	if g.MustColumn("income").Kind != table.Categorical {
+	if income, err := g.Column("income"); err != nil || income.Kind != table.Categorical {
 		t.Fatal("income column kind wrong after round trip")
 	}
 }
@@ -426,4 +426,14 @@ func TestDatasetStandardization(t *testing.T) {
 			t.Errorf("feature %d variance %v", j, variance)
 		}
 	}
+}
+
+// CellWeight returns the generating population share of the
+// (gender, race, nationality) intersection.
+func CellWeight(gender, race, nationality int) float64 {
+	w := raceNatWeight[race][nationality]
+	if gender == Male {
+		return w * maleShare
+	}
+	return w * (1 - maleShare)
 }

@@ -7,19 +7,6 @@ import (
 	"repro/internal/classify"
 )
 
-// BaseFeatureColumns are the non-protected predictors offered to the
-// classifier, mirroring the paper's "withhold the sensitive attributes"
-// preprocessing experiment.
-var BaseFeatureColumns = []string{
-	"age", "education_num", "hours_per_week", "capital_gain_log",
-	"capital_loss_log", "workclass", "marital_status", "occupation",
-	"relationship",
-}
-
-// ProtectedColumns are the columns Table 3 adds back one subset at a
-// time.
-var ProtectedColumns = []string{"gender", "race", "nationality"}
-
 // Dataset builds a classify.Dataset from people, using the base features
 // plus the named protected attributes as model inputs. Valid protected
 // names are "gender", "race" and "nationality".

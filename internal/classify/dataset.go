@@ -1,9 +1,9 @@
 // Package classify is the machine-learning substrate of the case study
 // (paper Section 6): a from-scratch binary logistic regression trained
-// with batch gradient descent, a categorical naive-Bayes baseline,
-// standard evaluation metrics, and a differential-fairness-regularized
-// logistic regression implementing the learning-algorithm direction the
-// paper lists as future work (Section 8, following Berk et al.).
+// with batch gradient descent, error-rate and calibration metrics, and a
+// differential-fairness-regularized logistic regression implementing the
+// learning-algorithm direction the paper lists as future work (Section
+// 8, following Berk et al.).
 package classify
 
 import "fmt"
@@ -49,16 +49,4 @@ func (d Dataset) Width() int {
 		return 0
 	}
 	return len(d.X[0])
-}
-
-// PositiveRate returns the fraction of positive labels.
-func (d Dataset) PositiveRate() float64 {
-	if len(d.Y) == 0 {
-		return 0
-	}
-	var pos int
-	for _, y := range d.Y {
-		pos += y
-	}
-	return float64(pos) / float64(len(d.Y))
 }

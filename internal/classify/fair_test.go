@@ -215,57 +215,3 @@ func TestSoftEpsilon(t *testing.T) {
 		t.Fatalf("zero-size group contaminated epsilon: %v", got)
 	}
 }
-
-func TestNaiveBayesLearnsAndValidates(t *testing.T) {
-	// Feature 0 is a noisy copy of the label; feature 1 is noise.
-	r := rng.New(31)
-	n := 2000
-	rows := make([][]int, n)
-	y := make([]int, n)
-	for i := range rows {
-		y[i] = r.Intn(2)
-		f0 := y[i]
-		if r.Float64() < 0.2 {
-			f0 = 1 - f0
-		}
-		rows[i] = []int{f0, r.Intn(3)}
-	}
-	m, err := TrainNaiveBayes(rows, []int{2, 3}, y, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds, err := m.PredictAll(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errRate, _ := ErrorRate(y, preds)
-	if errRate > 0.25 {
-		t.Fatalf("naive Bayes error %v, want about 0.2", errRate)
-	}
-	p, err := m.PredictProb([]int{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p <= 0.5 {
-		t.Fatalf("P(y=1 | f0=1) = %v, want > 0.5", p)
-	}
-	// Validation paths.
-	if _, err := TrainNaiveBayes(rows[:10], []int{2, 3}, y, 1); err == nil {
-		t.Error("row/label mismatch accepted")
-	}
-	if _, err := TrainNaiveBayes(nil, []int{2}, nil, 1); err == nil {
-		t.Error("empty training set accepted")
-	}
-	if _, err := TrainNaiveBayes(rows, []int{2, 3}, y, 0); err == nil {
-		t.Error("alpha=0 accepted")
-	}
-	if _, err := TrainNaiveBayes([][]int{{0, 9}}, []int{2, 3}, []int{1}, 1); err == nil {
-		t.Error("out-of-range feature accepted")
-	}
-	if _, err := m.PredictProb([]int{0}); err == nil {
-		t.Error("short row accepted")
-	}
-	if _, err := m.PredictProb([]int{0, 9}); err == nil {
-		t.Error("out-of-range feature value accepted at prediction")
-	}
-}

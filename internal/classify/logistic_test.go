@@ -55,7 +55,11 @@ func TestDatasetAccessors(t *testing.T) {
 	if ds.Len() != 100 || ds.Width() != 3 {
 		t.Fatalf("shape %dx%d", ds.Len(), ds.Width())
 	}
-	rate := ds.PositiveRate()
+	var pos int
+	for _, y := range ds.Y {
+		pos += y
+	}
+	rate := float64(pos) / float64(ds.Len())
 	if rate <= 0.2 || rate >= 0.9 {
 		t.Fatalf("positive rate %v looks degenerate", rate)
 	}
@@ -199,4 +203,51 @@ func TestPredictProbRange(t *testing.T) {
 	if len(probs) != ds.Len() {
 		t.Fatal("PredictProbs length mismatch")
 	}
+}
+
+// NumericalGradientCheck compares the analytic gradient of the
+// (unregularized) mean NLL at the model's current parameters against
+// central finite differences; it returns the maximum absolute deviation.
+// Exposed for the test suite.
+func NumericalGradientCheck(ds Dataset, m *Logistic, h float64) float64 {
+	n := float64(ds.Len())
+	loss := func(w []float64, b float64) float64 {
+		var acc float64
+		for i := range ds.X {
+			z := b
+			for j, x := range ds.X[i] {
+				z += w[j] * x
+			}
+			acc += crossEntropy(Sigmoid(z), ds.Y[i])
+		}
+		return acc / n
+	}
+	analytic := make([]float64, len(m.W)+1)
+	for i := range ds.X {
+		p := Sigmoid(m.score(ds.X[i]))
+		diff := p - float64(ds.Y[i])
+		for j, x := range ds.X[i] {
+			analytic[j] += diff * x / n
+		}
+		analytic[len(m.W)] += diff / n
+	}
+	var maxDev float64
+	w := append([]float64(nil), m.W...)
+	for j := range w {
+		w[j] += h
+		up := loss(w, m.B)
+		w[j] -= 2 * h
+		down := loss(w, m.B)
+		w[j] += h
+		numeric := (up - down) / (2 * h)
+		if d := math.Abs(numeric - analytic[j]); d > maxDev {
+			maxDev = d
+		}
+	}
+	upB := loss(w, m.B+h)
+	downB := loss(w, m.B-h)
+	if d := math.Abs((upB-downB)/(2*h) - analytic[len(m.W)]); d > maxDev {
+		maxDev = d
+	}
+	return maxDev
 }

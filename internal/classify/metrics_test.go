@@ -21,81 +21,6 @@ func TestErrorRate(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	c, err := ConfusionMatrix([]int{1, 1, 0, 0, 1}, []int{1, 0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.TP != 2 || c.FN != 1 || c.TN != 1 || c.FP != 1 {
-		t.Fatalf("confusion = %+v", c)
-	}
-	if got := c.Accuracy(); got != 0.6 {
-		t.Errorf("accuracy = %v", got)
-	}
-	if got := c.Precision(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("precision = %v", got)
-	}
-	if got := c.Recall(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("recall = %v", got)
-	}
-	if got := c.FalsePositiveRate(); got != 0.5 {
-		t.Errorf("fpr = %v", got)
-	}
-	if got := c.F1(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("f1 = %v", got)
-	}
-	if _, err := ConfusionMatrix([]int{1}, []int{}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestConfusionDegenerate(t *testing.T) {
-	var c Confusion
-	if c.Accuracy() != 0 || c.Precision() != 0 || c.Recall() != 0 || c.FalsePositiveRate() != 0 || c.F1() != 0 {
-		t.Fatal("empty confusion should produce zeros")
-	}
-}
-
-func TestAUCPerfectAndRandom(t *testing.T) {
-	y := []int{0, 0, 1, 1}
-	perfect, err := AUC(y, []float64{0.1, 0.2, 0.8, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perfect != 1 {
-		t.Fatalf("perfect AUC = %v", perfect)
-	}
-	inverted, _ := AUC(y, []float64{0.9, 0.8, 0.2, 0.1})
-	if inverted != 0 {
-		t.Fatalf("inverted AUC = %v", inverted)
-	}
-	constant, _ := AUC(y, []float64{0.5, 0.5, 0.5, 0.5})
-	if constant != 0.5 {
-		t.Fatalf("constant-score AUC = %v (ties should midrank to 0.5)", constant)
-	}
-}
-
-func TestAUCTies(t *testing.T) {
-	y := []int{0, 1, 0, 1}
-	got, err := AUC(y, []float64{0.3, 0.3, 0.1, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pairs: (0.3-,0.3+)=0.5, (0.3-,0.9+)=1, (0.1-,0.3+)=1, (0.1-,0.9+)=1 → 3.5/4.
-	if math.Abs(got-0.875) > 1e-12 {
-		t.Fatalf("tied AUC = %v, want 0.875", got)
-	}
-}
-
-func TestAUCValidation(t *testing.T) {
-	if _, err := AUC([]int{1}, []float64{0.5, 0.5}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := AUC([]int{1, 1}, []float64{0.5, 0.6}); err == nil {
-		t.Error("single-class input accepted")
-	}
-}
-
 func TestCalibrationBins(t *testing.T) {
 	y := []int{0, 1, 1, 1}
 	scores := []float64{0.1, 0.9, 0.95, 0.85}

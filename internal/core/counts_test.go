@@ -17,9 +17,6 @@ func TestCountsBasics(t *testing.T) {
 	if got := c.GroupTotal(0); got != 10 {
 		t.Errorf("GroupTotal(0) = %v", got)
 	}
-	if got := c.OutcomeTotal(1); got != 12 {
-		t.Errorf("OutcomeTotal(1) = %v", got)
-	}
 	if got := c.Total(); got != 15 {
 		t.Errorf("Total = %v", got)
 	}
@@ -204,17 +201,6 @@ func TestFromObservations(t *testing.T) {
 	}
 	if _, err := FromObservations(s, []string{"no", "yes"}, []int{7}, []int{0}); err == nil {
 		t.Error("bad group accepted")
-	}
-}
-
-func TestCountsCloneIsDeep(t *testing.T) {
-	s := binarySpace(t)
-	c := MustCounts(s, []string{"no", "yes"})
-	c.MustAdd(0, 0, 1)
-	d := c.Clone()
-	d.MustAdd(0, 0, 5)
-	if c.N(0, 0) != 1 {
-		t.Fatal("Clone shares storage")
 	}
 }
 

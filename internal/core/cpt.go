@@ -68,10 +68,6 @@ func (c *CPT) Outcomes() []string { return append([]string(nil), c.outcomes...) 
 // NumOutcomes returns |Y|.
 func (c *CPT) NumOutcomes() int { return len(c.outcomes) }
 
-// Outcome returns the label of one outcome without copying the label
-// slice.
-func (c *CPT) Outcome(i int) string { return c.outcomes[i] }
-
 // SetRow sets P(·|s) for one group along with its weight P(s). The
 // probabilities must be non-negative and sum to 1 within tolerance; a
 // weight of 0 marks the group unsupported (probs are still stored).
@@ -117,9 +113,6 @@ func (c *CPT) row(group int) []float64 {
 // stored value (normally 0).
 func (c *CPT) Prob(group, outcome int) float64 { return c.p[group*len(c.outcomes)+outcome] }
 
-// Row returns a copy of P(·|group).
-func (c *CPT) Row(group int) []float64 { return append([]float64(nil), c.row(group)...) }
-
 // Weight returns the (unnormalized) group weight P(s).
 func (c *CPT) Weight(group int) float64 { return c.weight[group] }
 
@@ -135,13 +128,6 @@ func (c *CPT) SupportedGroups() []int {
 		}
 	}
 	return out
-}
-
-// Reset marks every group unsupported and zeroes all probabilities,
-// recycling the table as a conversion buffer.
-func (c *CPT) Reset() {
-	clear(c.p)
-	clear(c.weight)
 }
 
 // Validate checks that at least two groups are supported and that every

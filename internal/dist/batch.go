@@ -5,14 +5,6 @@ import (
 	"sync"
 )
 
-// batchPDFer is implemented by families with a vectorized density
-// kernel: per-point divisions, normalizing constants, and interface
-// dispatch are hoisted out of the loop. BatchPDF falls back to the
-// generic per-point loop for distributions without one.
-type batchPDFer interface {
-	batchPDF(xs, dst []float64)
-}
-
 // parallelThreshold is the input size below which the worker pool costs
 // more than it saves and BatchPDF stays on one goroutine.
 const parallelThreshold = 1 << 14
@@ -28,24 +20,10 @@ func BatchPDF(d Dist, xs, dst []float64) []float64 {
 	if len(dst) != len(xs) {
 		panic("dist: BatchPDF dst length does not match xs")
 	}
-	kernel := pdfKernel(d)
 	parallelChunks(len(xs), func(lo, hi int) {
-		kernel(xs[lo:hi], dst[lo:hi])
+		d.batchPDF(xs[lo:hi], dst[lo:hi])
 	})
 	return dst
-}
-
-// pdfKernel returns the tight evaluation loop for d: the specialized
-// batch kernel when the family has one, else a generic loop.
-func pdfKernel(d Dist) func(xs, dst []float64) {
-	if b, ok := d.(batchPDFer); ok {
-		return b.batchPDF
-	}
-	return func(xs, dst []float64) {
-		for i, x := range xs {
-			dst[i] = d.PDF(x)
-		}
-	}
 }
 
 // parallelChunks runs fn over [0, n) split into contiguous chunks, one

@@ -1,11 +1,6 @@
 package dist
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/rng"
-)
+import "math"
 
 // Laplace is the double-exponential distribution with location Mu and
 // scale B, the noise family of both the Laplace privacy mechanism and
@@ -28,35 +23,9 @@ func NewLaplace(mu, b float64) (Laplace, error) {
 	return Laplace{Mu: mu, B: b}, nil
 }
 
-// MustLaplace is NewLaplace for statically known parameters; it panics
-// on invalid input.
-func MustLaplace(mu, b float64) Laplace {
-	d, err := NewLaplace(mu, b)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// String describes the distribution for reports.
-func (d Laplace) String() string { return fmt.Sprintf("Laplace(mu=%g, b=%g)", d.Mu, d.B) }
-
 // PDF returns the density at x.
 func (d Laplace) PDF(x float64) float64 {
 	return math.Exp(-math.Abs(x-d.Mu)/d.B) / (2 * d.B)
-}
-
-// LogPDF returns the log density at x.
-func (d Laplace) LogPDF(x float64) float64 {
-	return -math.Abs(x-d.Mu)/d.B - math.Log(2*d.B)
-}
-
-// CDF returns P(X <= x).
-func (d Laplace) CDF(x float64) float64 {
-	if x < d.Mu {
-		return 0.5 * math.Exp((x-d.Mu)/d.B)
-	}
-	return 1 - 0.5*math.Exp(-(x-d.Mu)/d.B)
 }
 
 // SurvivalAbove returns the upper tail mass P(X > x), exact in the far
@@ -67,27 +36,6 @@ func (d Laplace) SurvivalAbove(x float64) float64 {
 	}
 	return 0.5 * math.Exp(-(x-d.Mu)/d.B)
 }
-
-// Quantile returns the p-quantile by inversion. Quantile(0) is -Inf and
-// Quantile(1) is +Inf; p outside [0, 1] yields NaN.
-func (d Laplace) Quantile(p float64) float64 {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return math.NaN()
-	}
-	if p <= 0.5 {
-		return d.Mu + d.B*math.Log(2*p)
-	}
-	return d.Mu - d.B*math.Log(2*(1-p))
-}
-
-// Sample draws one deviate using r.
-func (d Laplace) Sample(r *rng.RNG) float64 { return r.Laplace(d.Mu, d.B) }
-
-// Mean returns Mu.
-func (d Laplace) Mean() float64 { return d.Mu }
-
-// Variance returns 2*B^2.
-func (d Laplace) Variance() float64 { return 2 * d.B * d.B }
 
 // batchPDF is the vectorized density kernel used by BatchPDF.
 func (d Laplace) batchPDF(xs, dst []float64) {

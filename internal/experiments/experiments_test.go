@@ -173,8 +173,7 @@ func TestTable3ShapeOnSmallConfig(t *testing.T) {
 }
 
 func TestTable3Validation(t *testing.T) {
-	cfg := DefaultTable3Config()
-	cfg.Alpha = 0
+	cfg := Table3Config{Census: census.SmallConfig(), Alpha: 0}
 	if _, err := Table3(cfg); err == nil {
 		t.Error("alpha=0 accepted")
 	}

@@ -56,8 +56,8 @@ func TestHistQuantiles(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Record(int64(i) * 1000)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	if h.n != 1000 {
+		t.Fatalf("count = %d", h.n)
 	}
 	for _, tc := range []struct {
 		q    float64
@@ -81,12 +81,12 @@ func TestHistQuantiles(t *testing.T) {
 
 func TestHistEmptyAndClamp(t *testing.T) {
 	var h Hist
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Count() != 0 {
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.n != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	h.Record(-5) // clamps, never panics
-	if h.Count() != 1 || h.Quantile(0.5) != 0 {
-		t.Fatalf("negative record should clamp to 0: count=%d q50=%d", h.Count(), h.Quantile(0.5))
+	if h.n != 1 || h.Quantile(0.5) != 0 {
+		t.Fatalf("negative record should clamp to 0: count=%d q50=%d", h.n, h.Quantile(0.5))
 	}
 }
 
@@ -105,7 +105,7 @@ func TestHistMerge(t *testing.T) {
 		}
 	}
 	a.Merge(&b)
-	if a.Count() != whole.Count() || a.Max() != whole.Max() || a.Mean() != whole.Mean() {
+	if a.n != whole.n || a.Max() != whole.Max() || a.Mean() != whole.Mean() {
 		t.Fatal("merged summary diverges from whole")
 	}
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {

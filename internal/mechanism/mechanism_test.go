@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -94,10 +95,18 @@ func TestLaplaceNoiseReducesEpsilon(t *testing.T) {
 	}
 }
 
+// gaussianNoise is zero-mean Gaussian noise. Normal noise on a Normal
+// score has a closed-form answer, which checks the quadrature.
+type gaussianNoise struct{ sigma float64 }
+
+func (g gaussianNoise) Dist() (dist.Dist, error) { return dist.NewNormal(0, g.sigma) }
+
+func (g gaussianNoise) Name() string { return fmt.Sprintf("Gaussian(sigma=%g)", g.sigma) }
+
 func TestGaussianNoiseSmoothsDecision(t *testing.T) {
 	space := core.MustSpace(core.Attr{Name: "group", Values: []string{"1", "2"}})
 	scores, _ := NewGaussianScores([]float64{10, 12}, []float64{1, 1})
-	cpt, err := Threshold{T: 10.5, Noise: GaussianNoise{Sigma: 1}}.CPT(space, []float64{0.5, 0.5}, scores)
+	cpt, err := Threshold{T: 10.5, Noise: gaussianNoise{sigma: 1}}.CPT(space, []float64{0.5, 0.5}, scores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,104 +119,24 @@ func TestGaussianNoiseSmoothsDecision(t *testing.T) {
 }
 
 func TestNoiseNames(t *testing.T) {
-	if (LaplaceNoise{B: 2}).Name() == "" || (GaussianNoise{Sigma: 1}).Name() == "" {
-		t.Fatal("noise names empty")
+	if (LaplaceNoise{B: 2}).Name() == "" {
+		t.Fatal("noise name empty")
 	}
 }
 
-func TestNoiseConstructorsValidateScale(t *testing.T) {
-	for _, b := range []float64{0, -1, math.NaN()} {
-		if _, err := NewLaplaceNoise(b); err == nil {
-			t.Errorf("NewLaplaceNoise accepted b=%v", b)
-		}
-		if _, err := NewGaussianNoise(b); err == nil {
-			t.Errorf("NewGaussianNoise accepted sigma=%v", b)
-		}
-	}
-	if n, err := NewLaplaceNoise(2); err != nil || n.B != 2 {
-		t.Errorf("NewLaplaceNoise(2) = (%v, %v)", n, err)
-	}
-	if n, err := NewGaussianNoise(1.5); err != nil || n.Sigma != 1.5 {
-		t.Errorf("NewGaussianNoise(1.5) = (%v, %v)", n, err)
-	}
-}
-
-// TestInvalidNoiseRejectedNotPanicked: an unusable noise scale used to
-// panic inside TailAbove mid-quadrature; now CPT validates the noise
-// distribution once, up front, and returns an error.
+// TestInvalidNoiseRejectedNotPanicked: CPT validates the noise
+// distribution once, up front, and returns an error for an unusable
+// scale instead of faulting mid-quadrature.
 func TestInvalidNoiseRejectedNotPanicked(t *testing.T) {
 	space := core.MustSpace(core.Attr{Name: "group", Values: []string{"1", "2"}})
 	scores, _ := NewGaussianScores([]float64{10, 12}, []float64{1, 1})
 	for _, noise := range []NoiseModel{
 		LaplaceNoise{B: 0},
 		LaplaceNoise{B: -3},
-		GaussianNoise{Sigma: 0},
-		DistNoise{},
+		gaussianNoise{sigma: 0},
 	} {
 		if _, err := (Threshold{T: 10.5, Noise: noise}).CPT(space, []float64{0.5, 0.5}, scores); err == nil {
 			t.Errorf("%T with invalid parameters accepted", noise)
-		}
-	}
-	// The TailAbove convenience on an invalid scale reports NaN rather
-	// than a panic or an out-of-range "probability".
-	if got := (LaplaceNoise{B: -1}).TailAbove(2); !math.IsNaN(got) {
-		t.Errorf("LaplaceNoise{B:-1}.TailAbove = %v, want NaN", got)
-	}
-	if got := (GaussianNoise{Sigma: 0}).TailAbove(0); !math.IsNaN(got) {
-		t.Errorf("GaussianNoise{Sigma:0}.TailAbove = %v, want NaN", got)
-	}
-	if got := (DistNoise{}).TailAbove(0); !math.IsNaN(got) {
-		t.Errorf("DistNoise{}.TailAbove = %v, want NaN", got)
-	}
-}
-
-// TestDistNoiseMatchesBuiltin: wrapping dist.Laplace in the generic
-// DistNoise adapter must reproduce the built-in LaplaceNoise exactly.
-func TestDistNoiseMatchesBuiltin(t *testing.T) {
-	space := core.MustSpace(core.Attr{Name: "group", Values: []string{"1", "2"}})
-	scores, _ := NewGaussianScores([]float64{10, 12}, []float64{1, 1})
-	weights := []float64{0.5, 0.5}
-	builtin, err := Threshold{T: 10.5, Noise: LaplaceNoise{B: 1}}.CPT(space, weights, scores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped, err := Threshold{T: 10.5, Noise: DistNoise{D: dist.MustLaplace(0, 1)}}.CPT(space, weights, scores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < 2; g++ {
-		for y := 0; y < 2; y++ {
-			if builtin.Prob(g, y) != wrapped.Prob(g, y) {
-				t.Errorf("P(%d|%d): builtin %v, DistNoise %v", y, g, builtin.Prob(g, y), wrapped.Prob(g, y))
-			}
-		}
-	}
-	if (DistNoise{D: dist.MustLaplace(0, 1)}).Name() == "" {
-		t.Error("DistNoise name empty")
-	}
-	if (DistNoise{D: dist.MustExponential(2), Label: "one-sided boost"}).Name() != "one-sided boost" {
-		t.Error("DistNoise label not used")
-	}
-}
-
-// TestExponentialNoiseShiftsDecision: one-sided Exponential noise can
-// only raise scores, so P(yes) must rise for every group — a scenario
-// the symmetric families cannot express.
-func TestExponentialNoiseShiftsDecision(t *testing.T) {
-	space := core.MustSpace(core.Attr{Name: "group", Values: []string{"1", "2"}})
-	scores, _ := NewGaussianScores([]float64{10, 12}, []float64{1, 1})
-	weights := []float64{0.5, 0.5}
-	base, err := Threshold{T: 10.5}.CPT(space, weights, scores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boosted, err := Threshold{T: 10.5, Noise: DistNoise{D: dist.MustExponential(1)}}.CPT(space, weights, scores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < 2; g++ {
-		if boosted.Prob(g, 1) <= base.Prob(g, 1) {
-			t.Errorf("group %d: one-sided boost did not raise P(yes): %v <= %v", g, boosted.Prob(g, 1), base.Prob(g, 1))
 		}
 	}
 }

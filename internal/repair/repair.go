@@ -304,27 +304,6 @@ func (p Plan) Apply(cpt *core.CPT) (*core.CPT, error) {
 	return out, nil
 }
 
-// PostProcess applies the plan's randomized flips to a stream of
-// decisions: given a group and the mechanism's decision, it returns the
-// repaired decision using u ~ Uniform[0,1) supplied by the caller. It
-// scans the plan's groups linearly; serving paths should compile the
-// plan into an Applier instead.
-func (p Plan) PostProcess(group, decision int, u float64) (int, error) {
-	for _, gp := range p.Groups {
-		if gp.Group != group {
-			continue
-		}
-		if decision == 1 && u < gp.FlipPosToNeg {
-			return 0, nil
-		}
-		if decision == 0 && u < gp.FlipNegToPos {
-			return 1, nil
-		}
-		return decision, nil
-	}
-	return 0, fmt.Errorf("repair: group %d not covered by plan", group)
-}
-
 // Applier is a Plan compiled for the batched serving path: flip
 // probabilities densely indexed by group, plus the seed of the
 // deterministic randomization. ApplyBatch is allocation-free and safe
@@ -363,9 +342,6 @@ func (p Plan) NewApplier(numGroups int, seed uint64) (*Applier, error) {
 	}
 	return a, nil
 }
-
-// Seed returns the seed driving the applier's randomization.
-func (a *Applier) Seed() uint64 { return a.seed }
 
 // ApplyBatch post-processes a batch of decisions in place: decision i of
 // group groups[i] is flipped with the plan's mixing probability, drawing

@@ -213,21 +213,28 @@ func TestRepairFlipProbabilitiesRealizeRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	app, err := plan.NewApplier(2, 303)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Simulate the post-processing stream and verify empirical rates.
 	r := rng.New(303)
 	for _, gp := range plan.Groups {
 		const n = 200000
-		var pos int
-		for i := 0; i < n; i++ {
-			dec := 0
+		groups := make([]int, n)
+		decisions := make([]int, n)
+		for i := range decisions {
+			groups[i] = gp.Group
 			if r.Float64() < gp.OldRate {
-				dec = 1
+				decisions[i] = 1
 			}
-			out, err := plan.PostProcess(gp.Group, dec, r.Float64())
-			if err != nil {
-				t.Fatal(err)
-			}
-			pos += out
+		}
+		if _, err := app.ApplyBatch(0, groups, decisions); err != nil {
+			t.Fatal(err)
+		}
+		var pos int
+		for _, d := range decisions {
+			pos += d
 		}
 		got := float64(pos) / n
 		if math.Abs(got-gp.NewRate) > 0.005 {
@@ -492,9 +499,6 @@ func TestRepairValidation(t *testing.T) {
 	plan, err := Binary(cpt, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := plan.PostProcess(99, 1, 0.5); err == nil {
-		t.Error("unknown group accepted by PostProcess")
 	}
 	if _, err := plan.Apply(three); err == nil {
 		t.Error("Apply on three-outcome CPT accepted")

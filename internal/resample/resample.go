@@ -131,52 +131,6 @@ func Bootstrap(ctx context.Context, ms []core.Metric, c *core.Counts, alpha floa
 	return out, nil
 }
 
-// EpsilonBootstrapSerialAlias is the pre-engine reference implementation:
-// every replicate redraws all n observations one at a time from an alias
-// table, serially, allocating fresh tables per replicate. It is retained
-// as the correctness and performance baseline for the parallel multinomial
-// engine (see BenchmarkEpsilonBootstrap) and is not intended for
-// production use.
-func EpsilonBootstrapSerialAlias(c *core.Counts, alpha float64, b int, level float64, r *rng.RNG) (Interval, error) {
-	n, points, err := validateBootstrap([]core.Metric{core.DFEpsilon}, c, alpha, b, level)
-	if err != nil {
-		return Interval{}, err
-	}
-
-	space := c.Space()
-	outcomes := c.Outcomes()
-	nOut := len(outcomes)
-	alias := rng.NewAlias(c.Cells())
-
-	reps := make([]float64, 0, b)
-	for rep := 0; rep < b; rep++ {
-		boot, err := core.NewCounts(space, outcomes)
-		if err != nil {
-			return Interval{}, err
-		}
-		for i := 0; i < n; i++ {
-			cell := alias.Sample(r)
-			if err := boot.Observe(cell/nOut, cell%nOut); err != nil {
-				return Interval{}, err
-			}
-		}
-		cpt, err := boot.Estimate(alpha)
-		if err != nil {
-			return Interval{}, err
-		}
-		res, err := core.Epsilon(cpt)
-		if err != nil {
-			if !errors.Is(err, core.ErrDegenerateSupport) {
-				return Interval{}, fmt.Errorf("resample: replicate failed: %w", err)
-			}
-			reps = append(reps, math.Inf(1))
-			continue
-		}
-		reps = append(reps, res.Epsilon)
-	}
-	return percentileInterval(points[0], reps, level), nil
-}
-
 // percentileInterval sorts the replicate values in place and summarizes
 // them as the central interval at the given level.
 func percentileInterval(point float64, reps []float64, level float64) Interval {

@@ -69,9 +69,6 @@ func NewAlias(weights []float64) *Alias {
 	return a
 }
 
-// N returns the number of categories.
-func (a *Alias) N() int { return len(a.prob) }
-
 // Sample draws one category index using r.
 func (a *Alias) Sample(r *RNG) int {
 	i := r.Intn(len(a.prob))

@@ -54,7 +54,7 @@ func BenchmarkHotPathIncrementalCheck(b *testing.B) {
 
 func BenchmarkHotPathObserveBatch(b *testing.B) {
 	space := core.MustSpace(core.Attr{Name: "g", Values: []string{"a", "b", "c", "d"}})
-	m, err := NewMonitor(space, []string{"no", "yes"}, 10000, 0)
+	m, err := New(space, []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 10000}})
 	if err != nil {
 		b.Fatal(err)
 	}

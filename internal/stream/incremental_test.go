@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -110,7 +111,7 @@ func relEq(a, b, tol float64) bool {
 // each metric fired, keyed by Alert.Metric.
 func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int, exp bool) map[string]int {
 	t.Helper()
-	space := w.Space()
+	space := w.space
 	fired := map[string]int{}
 	for round := 0; round < rounds; round++ {
 		n := 1 + r.Intn(96)
@@ -457,6 +458,11 @@ func TestIncrementalPeriodicRebuild(t *testing.T) {
 	}
 }
 
+// ladderOf is EpsilonSubsets into a fresh counts table.
+func ladderOf(m *Monitor) ([]core.SubsetEpsilon, error) {
+	return m.EpsilonSubsets(core.MustCounts(m.space, m.outcomes))
+}
+
 // TestEpsilonSubsetsMatchesCore pins the incremental subset ladder
 // against core.EpsilonSubsetsCounts over a simultaneous snapshot:
 // same order, same ε bits, same witnesses, same marginal spaces — across
@@ -496,13 +502,17 @@ func TestEpsilonSubsetsMatchesCore(t *testing.T) {
 					if err := m.ObserveBatch(groups, outcomes); err != nil {
 						t.Fatal(err)
 					}
-					ladder, err := m.EpsilonSubsets()
+					measured := core.MustCounts(space, m.outcomes)
+					ladder, err := m.EpsilonSubsets(measured)
 					if err != nil {
 						t.Fatal(err)
 					}
 					snap, err := m.Snapshot()
 					if err != nil {
 						t.Fatal(err)
+					}
+					if !slices.Equal(measured.Cells(), snap.Cells()) {
+						t.Fatal("EpsilonSubsets filled counts that differ from the snapshot")
 					}
 					want, err := core.EpsilonSubsetsCounts(snap, alpha)
 					if err != nil {
@@ -545,7 +555,7 @@ func TestEpsilonSubsetsExponentialUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.EpsilonSubsets(); !errors.Is(err, ErrIncrementalUnavailable) {
+	if _, err := ladderOf(m); !errors.Is(err, ErrIncrementalUnavailable) {
 		t.Fatalf("EpsilonSubsets on exponential policy = %v, want ErrIncrementalUnavailable", err)
 	}
 }
@@ -568,7 +578,7 @@ func TestReadStateRebuildsIncremental(t *testing.T) {
 	}
 	r := rng.New(77)
 	drive(t, w1, r, 20, false)
-	if _, err := m1.EpsilonSubsets(); err != nil {
+	if _, err := ladderOf(m1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -614,8 +624,8 @@ func TestReadStateRebuildsIncremental(t *testing.T) {
 		sameAlert(t, "restored", a1, a2)
 		checkBoth(t, "restored-vs-full", w2)
 
-		l1, err1 := m1.EpsilonSubsets()
-		l2, err2 := m2.EpsilonSubsets()
+		l1, err1 := ladderOf(m1)
+		l2, err2 := ladderOf(m2)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("ladder errors: %v vs %v", err1, err2)
 		}
@@ -668,7 +678,7 @@ func TestIncrementalConcurrent(t *testing.T) {
 			}
 			// A cold ladder may legitimately find a subset with fewer than
 			// two supported groups; anything else is a real failure.
-			if _, err := m.EpsilonSubsets(); err != nil && !errors.Is(err, core.ErrDegenerateSupport) {
+			if _, err := ladderOf(m); err != nil && !errors.Is(err, core.ErrDegenerateSupport) {
 				t.Error(err)
 				return
 			}
@@ -677,7 +687,7 @@ func TestIncrementalConcurrent(t *testing.T) {
 	wg.Wait()
 
 	checkBoth(t, "quiesced", w)
-	ladder, err := m.EpsilonSubsets()
+	ladder, err := ladderOf(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"testing"
 
+	"repro/internal/census"
 	"repro/internal/core"
+	"repro/internal/rng"
 )
 
 // LockedMonitor is the retained pre-sharding implementation: one decayed
@@ -31,7 +34,7 @@ type LockedMonitor struct {
 }
 
 // NewLocked creates a mutex-guarded exponentially-decayed monitor with
-// the same semantics as NewMonitor.
+// the same semantics as New with an Exponential policy.
 func NewLocked(space *core.Space, outcomes []string, halfLife float64, alpha float64) (*LockedMonitor, error) {
 	if space == nil {
 		return nil, fmt.Errorf("stream: nil space")
@@ -178,4 +181,81 @@ func (m *LockedMonitor) Epsilon() (core.EpsilonResult, error) {
 		return core.EpsilonResult{}, err
 	}
 	return core.Epsilon(m.cpt)
+}
+
+// BenchmarkMonitorObserveParallel is the headline streaming benchmark:
+// batched ingest (64 observations per batch, the dfserve observe-path
+// shape) through the sharded engine versus the retained single-mutex
+// LockedMonitor baseline, serially and with one ingesting goroutine per
+// GOMAXPROCS. Each iteration is one 64-observation batch; the sharded
+// engine's parallel ns/op should approach its serial ns/op divided by
+// the core count, while the locked baseline serializes.
+// scripts/bench_stream.sh records all four as BENCH_stream.json.
+func BenchmarkMonitorObserveParallel(b *testing.B) {
+	space := census.Space()
+	const batch = 64
+	const pool = 1 << 16
+	r := rng.New(9)
+	groups := make([]int, pool)
+	outcomes := make([]int, pool)
+	for i := range groups {
+		groups[i] = r.Intn(space.Size())
+		outcomes[i] = r.Intn(2)
+	}
+	offsets := pool/batch - 1
+
+	engines := []struct {
+		name string
+		make func() (func(g, y []int) error, error)
+	}{
+		{"sharded", func() (func(g, y []int) error, error) {
+			m, err := New(space, census.IncomeValues, Config{Policy: Exponential{HalfLife: 5000}})
+			if err != nil {
+				return nil, err
+			}
+			return m.ObserveBatch, nil
+		}},
+		{"locked", func() (func(g, y []int) error, error) {
+			m, err := NewLocked(space, census.IncomeValues, 5000, 0)
+			if err != nil {
+				return nil, err
+			}
+			return m.ObserveBatch, nil
+		}},
+	}
+	for _, eng := range engines {
+		b.Run(eng.name+"-serial", func(b *testing.B) {
+			observe, err := eng.make()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := (i % offsets) * batch
+				if err := observe(groups[off:off+batch], outcomes[off:off+batch]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(eng.name+"-parallel", func(b *testing.B) {
+			observe, err := eng.make()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i := 0
+				for pb.Next() {
+					off := (i % offsets) * batch
+					i++
+					if err := observe(groups[off:off+batch], outcomes[off:off+batch]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
 }

@@ -11,7 +11,7 @@ import (
 
 // Policy selects how a Monitor weights past observations. The concrete
 // policies are Exponential, Tumbling and Sliding; all run on the same
-// sharded engine and report through the same Snapshotter surface.
+// sharded engine.
 type Policy interface {
 	validate() error
 	newEngine(space *core.Space, outcomes []string, shards int) (engine, error)
@@ -84,8 +84,7 @@ type Config struct {
 	// into this many independently-locked shards (rounded up to a power
 	// of two). 0 selects a default sized to the machine (twice
 	// GOMAXPROCS, capped at 256). 1 yields a single-shard monitor whose
-	// ingest serializes on one lock — the configuration the
-	// mutex-guarded LockedMonitor baseline mirrors.
+	// ingest serializes on one lock.
 	Shards int
 }
 

@@ -9,8 +9,7 @@
 // Snapshots merge the shards into a single core.Counts (merge-on-
 // snapshot via Counts.AddScaled / Counts.Merge).
 //
-// Three window policies share the engine behind the Snapshotter
-// interface:
+// Three window policies share the engine:
 //
 //   - Exponential{HalfLife}: every prior observation's influence decays
 //     by 2^(-1/HalfLife) per new observation, so recent decisions
@@ -52,40 +51,6 @@ import (
 
 	"repro/internal/core"
 )
-
-// Snapshotter is anything that can materialize its current effective
-// counts into a caller-owned table: the sharded Monitor, the retained
-// LockedMonitor baseline, and any future policy all satisfy it, so
-// ε reporting and auditing are policy-agnostic.
-type Snapshotter interface {
-	// Space returns the protected-attribute space the counts are over.
-	Space() *core.Space
-	// Outcomes returns a copy of the outcome labels.
-	Outcomes() []string
-	// SnapshotInto overwrites dst with the current effective counts.
-	// dst must match the space size and outcome count.
-	SnapshotInto(dst *core.Counts) error
-}
-
-// EpsilonOf reports the differential-fairness ε of any Snapshotter's
-// current effective counts, using the Eq. 7 smoothed estimator when
-// alpha > 0 and the empirical Eq. 6 estimator otherwise. It allocates
-// fresh buffers per call; Monitor.Epsilon is the buffer-reusing
-// steady-state path.
-func EpsilonOf(s Snapshotter, alpha float64) (core.EpsilonResult, error) {
-	snap, err := core.NewCounts(s.Space(), s.Outcomes())
-	if err != nil {
-		return core.EpsilonResult{}, err
-	}
-	if err := s.SnapshotInto(snap); err != nil {
-		return core.EpsilonResult{}, err
-	}
-	cpt, err := snap.Estimate(alpha)
-	if err != nil {
-		return core.EpsilonResult{}, err
-	}
-	return core.Epsilon(cpt)
-}
 
 // Monitor maintains windowed outcome counts per intersectional group and
 // reports ε on demand. It is safe for concurrent use: Observe and
@@ -176,21 +141,6 @@ func New(space *core.Space, outcomes []string, cfg Config) (*Monitor, error) {
 		cpt:          cpt,
 	}, nil
 }
-
-// NewMonitor creates an exponentially-decayed monitor: halfLife is the
-// number of observations after which an old observation's influence is
-// halved (must be > 0); alpha is the Eq. 7 smoothing applied when
-// reporting ε (0 = empirical). It is the historical constructor,
-// equivalent to New with Exponential{HalfLife: halfLife}.
-func NewMonitor(space *core.Space, outcomes []string, halfLife float64, alpha float64) (*Monitor, error) {
-	return New(space, outcomes, Config{Policy: Exponential{HalfLife: halfLife}, Alpha: alpha})
-}
-
-// Space returns the protected-attribute space.
-func (m *Monitor) Space() *core.Space { return m.space }
-
-// Outcomes returns a copy of the outcome labels.
-func (m *Monitor) Outcomes() []string { return append([]string(nil), m.outcomes...) }
 
 // Observe records one decision. It is safe to call concurrently with
 // other Observe/ObserveBatch calls and with readers.
@@ -342,12 +292,18 @@ func (m *Monitor) ensureInc() *incEngine {
 // O(lattice) — report latency independent of the table size. The results
 // are ordered like Space.SubsetNames and, for the integer-count window
 // policies, bit-identical to core.EpsilonSubsetsCounts over a snapshot
-// of the same state. The exponential policy returns
-// ErrIncrementalUnavailable (its smoothed estimator is not invariant
-// under decay's uniform rescale); callers fall back to the snapshot
-// ladder. A subset with fewer than two supported groups returns an error
-// wrapping core.ErrDegenerateSupport.
-func (m *Monitor) EpsilonSubsets() ([]core.SubsetEpsilon, error) {
+// of the same state. dst, which must match the monitor's space size and
+// outcome count, is overwritten with the counts the ladder was measured
+// on, taken at the same ticket, so an audit of dst agrees with the
+// ladder while observations keep arriving. The exponential policy
+// returns ErrIncrementalUnavailable (its smoothed estimator is not
+// invariant under decay's uniform rescale); callers fall back to the
+// snapshot ladder. A subset with fewer than two supported groups returns
+// an error wrapping core.ErrDegenerateSupport.
+func (m *Monitor) EpsilonSubsets(dst *core.Counts) ([]core.SubsetEpsilon, error) {
+	if dst == nil || dst.Space().Size() != m.space.Size() || dst.NumOutcomes() != len(m.outcomes) {
+		return nil, fmt.Errorf("stream: ladder counts destination does not match the monitor's space and outcomes")
+	}
 	inc := m.ensureInc()
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -361,6 +317,7 @@ func (m *Monitor) EpsilonSubsets() ([]core.SubsetEpsilon, error) {
 		inc.valid = false // nodes must be seeded by a full rebuild
 	}
 	inc.sync(m.ticket.Load())
+	copy(dst.Cells(), inc.full.agg)
 	return inc.ladderLocked()
 }
 

@@ -18,25 +18,25 @@ func twoGroupSpace(t *testing.T) *core.Space {
 
 func TestNewMonitorValidation(t *testing.T) {
 	s := twoGroupSpace(t)
-	if _, err := NewMonitor(nil, []string{"x", "y"}, 100, 0); err == nil {
+	if _, err := New(nil, []string{"x", "y"}, Config{Policy: Exponential{HalfLife: 100}}); err == nil {
 		t.Error("nil space accepted")
 	}
-	if _, err := NewMonitor(s, []string{"x"}, 100, 0); err == nil {
+	if _, err := New(s, []string{"x"}, Config{Policy: Exponential{HalfLife: 100}}); err == nil {
 		t.Error("single outcome accepted")
 	}
 	for _, hl := range []float64{0, -1, math.Inf(1)} {
-		if _, err := NewMonitor(s, []string{"x", "y"}, hl, 0); err == nil {
+		if _, err := New(s, []string{"x", "y"}, Config{Policy: Exponential{HalfLife: hl}}); err == nil {
 			t.Errorf("half-life %v accepted", hl)
 		}
 	}
-	if _, err := NewMonitor(s, []string{"x", "y"}, 100, -1); err == nil {
+	if _, err := New(s, []string{"x", "y"}, Config{Policy: Exponential{HalfLife: 100}, Alpha: -1}); err == nil {
 		t.Error("negative alpha accepted")
 	}
 }
 
 func TestObserveValidation(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"x", "y"}, 100, 0)
+	m, _ := New(s, []string{"x", "y"}, Config{Policy: Exponential{HalfLife: 100}})
 	if err := m.Observe(5, 0); err == nil {
 		t.Error("bad group accepted")
 	}
@@ -49,7 +49,7 @@ func TestObserveValidation(t *testing.T) {
 // stream, the decayed estimate approximates the batch empirical ε.
 func TestStationaryMatchesBatch(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, err := NewMonitor(s, []string{"no", "yes"}, 1e9, 0)
+	m, err := New(s, []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 1e9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestStationaryMatchesBatch(t *testing.T) {
 // would.
 func TestDriftDetection(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, err := NewMonitor(s, []string{"no", "yes"}, 500, 0)
+	m, err := New(s, []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 500}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDriftDetection(t *testing.T) {
 func TestEffectiveCountSaturates(t *testing.T) {
 	s := twoGroupSpace(t)
 	const halfLife = 100.0
-	m, _ := NewMonitor(s, []string{"no", "yes"}, halfLife, 0)
+	m, _ := New(s, []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: halfLife}})
 	for i := 0; i < 10000; i++ {
 		if err := m.Observe(i%2, i%2); err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestRenormalizePreservesEstimate(t *testing.T) {
 	s := twoGroupSpace(t)
 	// A tiny half-life forces rapid weight growth and many
 	// renormalizations.
-	m, _ := NewMonitor(s, []string{"no", "yes"}, 2, 0)
+	m, _ := New(s, []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 2}})
 	r := rng.New(17)
 	for i := 0; i < 200000; i++ {
 		g := r.Intn(2)
@@ -166,7 +166,7 @@ func TestRenormalizePreservesEstimate(t *testing.T) {
 
 func TestWatchAlerts(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"no", "yes"}, 200, 1)
+	m, _ := New(s, []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 200}, Alpha: 1})
 	w, err := NewWatch(m, 1.0, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestWatchAlerts(t *testing.T) {
 
 func TestWatchRespectsMinEffective(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"no", "yes"}, 200, 1)
+	m, _ := New(s, []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 200}, Alpha: 1})
 	w, _ := NewWatch(m, 0.01, 1e6) // unreachable mass
 	r := rng.New(23)
 	for i := 0; i < 1000; i++ {
@@ -222,7 +222,7 @@ func TestWatchRespectsMinEffective(t *testing.T) {
 
 func TestNewWatchValidation(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"no", "yes"}, 100, 0)
+	m, _ := New(s, []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 100}})
 	if _, err := NewWatch(nil, 1, 0); err == nil {
 		t.Error("nil monitor accepted")
 	}
@@ -241,7 +241,7 @@ func TestNewWatchValidation(t *testing.T) {
 // breached, so accepting it would arm a threshold that silently never
 // fires — with or without ε armed beside it.
 func TestNewWatchRejectsNaNMetricThreshold(t *testing.T) {
-	m, _ := NewMonitor(twoGroupSpace(t), []string{"no", "yes"}, 100, 0)
+	m, _ := New(twoGroupSpace(t), []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 100}})
 	for _, eps := range []float64{0, 1} {
 		_, err := NewWatch(m, eps, 0, MetricThreshold{Metric: core.DFEpsilon, Threshold: math.NaN()})
 		if err == nil || !strings.Contains(err.Error(), "NaN") {
@@ -253,7 +253,7 @@ func TestNewWatchRejectsNaNMetricThreshold(t *testing.T) {
 // TestEpsilonSteadyStateAllocFree: after the first report builds the
 // reusable buffers, Epsilon must not allocate.
 func TestEpsilonSteadyStateAllocFree(t *testing.T) {
-	m, err := NewMonitor(twoGroupSpace(t), []string{"x", "y"}, 100, 0)
+	m, err := New(twoGroupSpace(t), []string{"x", "y"}, Config{Policy: Exponential{HalfLife: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestEpsilonSteadyStateAllocFree(t *testing.T) {
 // TestSnapshotIsCallerOwned: mutating a returned snapshot must not leak
 // into the monitor's internal reporting buffers.
 func TestSnapshotIsCallerOwned(t *testing.T) {
-	m, err := NewMonitor(twoGroupSpace(t), []string{"x", "y"}, 100, 0)
+	m, err := New(twoGroupSpace(t), []string{"x", "y"}, Config{Policy: Exponential{HalfLife: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestSnapshotIsCallerOwned(t *testing.T) {
 
 func TestObserveBatchValidation(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"x", "y"}, 100, 0)
+	m, _ := New(s, []string{"x", "y"}, Config{Policy: Exponential{HalfLife: 100}})
 	if err := m.ObserveBatch([]int{0, 1}, []int{0}); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
@@ -341,7 +341,7 @@ func TestObserveValues(t *testing.T) {
 		core.Attr{Name: "gender", Values: []string{"M", "F"}},
 		core.Attr{Name: "race", Values: []string{"A", "B"}},
 	)
-	m, err := NewMonitor(s, []string{"deny", "approve"}, 100, 0)
+	m, err := New(s, []string{"deny", "approve"}, Config{Policy: Exponential{HalfLife: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,57 +548,6 @@ func TestPolicyValidation(t *testing.T) {
 	}
 }
 
-// TestEpsilonOfAnyPolicy: the Snapshotter interface makes ε reporting
-// policy-agnostic — EpsilonOf must agree with Monitor.Epsilon for every
-// policy (and for the locked baseline).
-func TestEpsilonOfAnyPolicy(t *testing.T) {
-	s := twoGroupSpace(t)
-	outs := []string{"no", "yes"}
-	feed := func(m interface {
-		Observe(g, y int) error
-	}) {
-		t.Helper()
-		r := rng.New(31)
-		for i := 0; i < 2000; i++ {
-			g := r.Intn(2)
-			y := 0
-			if r.Float64() < 0.3+0.4*float64(g) {
-				y = 1
-			}
-			if err := m.Observe(g, y); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	policies := []Policy{Exponential{HalfLife: 500}, Tumbling{Window: 1024}, Sliding{Window: 1024, Buckets: 8}}
-	for _, p := range policies {
-		m, err := New(s, outs, Config{Policy: p, Alpha: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(m)
-		got, err := EpsilonOf(m, 1)
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		want, err := m.Epsilon()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Epsilon-want.Epsilon) > 1e-12 {
-			t.Fatalf("%v: EpsilonOf %v vs Epsilon %v", p, got.Epsilon, want.Epsilon)
-		}
-	}
-	lm, err := NewLocked(s, outs, 500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(lm)
-	if _, err := EpsilonOf(lm, 1); err != nil {
-		t.Fatalf("locked baseline via Snapshotter: %v", err)
-	}
-}
-
 // TestConcurrentWindowIngestExact: the acceptance-criterion test. With
 // N goroutines observing through the sharded monitor, the final
 // effective counts equal the single-goroutine result exactly (window
@@ -762,7 +711,7 @@ func TestExponentialBatchChunking(t *testing.T) {
 // Monitor.Epsilon still surfaces it for callers that ask directly.
 func TestWatchDegenerateSupportIsNotAnError(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"no", "yes"}, 100, 0)
+	m, _ := New(s, []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 100}})
 	w, err := NewWatch(m, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)

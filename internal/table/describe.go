@@ -3,7 +3,6 @@ package table
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"text/tabwriter"
 )
@@ -84,19 +83,4 @@ func (f *Frame) DescribeString() string {
 	}
 	w.Flush()
 	return b.String()
-}
-
-// Levels of categorical columns sorted by frequency, for reporting.
-func (c *Column) LevelCounts() []GroupCount {
-	c.mustKind(Categorical)
-	counts := make([]int, len(c.levels))
-	for _, code := range c.codes {
-		counts[code]++
-	}
-	out := make([]GroupCount, len(c.levels))
-	for code, n := range counts {
-		out[code] = GroupCount{Values: []string{c.levels[code]}, Count: n}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
 }

@@ -44,23 +44,3 @@ func TestDescribeString(t *testing.T) {
 		}
 	}
 }
-
-func TestLevelCountsSorted(t *testing.T) {
-	c := NewCategorical("c", []string{"a", "b", "b", "b", "c", "c"})
-	lc := c.LevelCounts()
-	if lc[0].Values[0] != "b" || lc[0].Count != 3 {
-		t.Fatalf("top level = %+v", lc[0])
-	}
-	if lc[2].Values[0] != "a" || lc[2].Count != 1 {
-		t.Fatalf("bottom level = %+v", lc[2])
-	}
-}
-
-func TestLevelCountsPanicsOnNumeric(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LevelCounts on int column did not panic")
-		}
-	}()
-	NewInt("n", []int64{1}).LevelCounts()
-}

@@ -35,8 +35,8 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		for i := 0; i < frame.NumRows(); i++ {
 			for _, name := range frame.Names() {
-				a := frame.MustColumn(name).StringAt(i)
-				b := back.MustColumn(name).StringAt(i)
+				a := mustColumn(t, frame, name).StringAt(i)
+				b := mustColumn(t, back, name).StringAt(i)
 				if a != b {
 					t.Fatalf("cell (%d, %s) changed: %q vs %q", i, name, a, b)
 				}

@@ -2,18 +2,14 @@
 // between CSV files, the synthetic census generator, the fairness
 // auditors and the classifiers. It supports exactly what the case study
 // needs: categorical (dictionary-encoded string), integer and float
-// columns, CSV round-trips, filtering, group-by counting, deterministic
-// splits and one-hot encoding.
+// columns, CSV round-trips and per-column summaries.
 package table
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
-
-	"repro/internal/rng"
 )
 
 // Kind enumerates column types.
@@ -104,21 +100,6 @@ func (c *Column) Levels() []string {
 	return append([]string(nil), c.levels...)
 }
 
-// Code returns the level code at row i of a categorical column.
-func (c *Column) Code(i int) int {
-	c.mustKind(Categorical)
-	return c.codes[i]
-}
-
-// LevelOf returns the code of a level, or -1 if absent.
-func (c *Column) LevelOf(value string) int {
-	c.mustKind(Categorical)
-	if code, ok := c.lookup[value]; ok {
-		return code
-	}
-	return -1
-}
-
 // StringAt renders the value at row i as a string.
 func (c *Column) StringAt(i int) string {
 	switch c.Kind {
@@ -129,12 +110,6 @@ func (c *Column) StringAt(i int) string {
 	default:
 		return strconv.FormatFloat(c.floats[i], 'g', -1, 64)
 	}
-}
-
-// IntAt returns the integer value at row i. It panics for non-int columns.
-func (c *Column) IntAt(i int) int64 {
-	c.mustKind(Int)
-	return c.ints[i]
 }
 
 // FloatAt returns the numeric value at row i for Int or Float columns.
@@ -151,31 +126,6 @@ func (c *Column) FloatAt(i int) float64 {
 func (c *Column) mustKind(k Kind) {
 	if c.Kind != k {
 		panic(fmt.Sprintf("table: column %q is %s, not %s", c.Name, c.Kind, k))
-	}
-}
-
-// gather returns a new column holding the given rows.
-func (c *Column) gather(rows []int) *Column {
-	switch c.Kind {
-	case Categorical:
-		out := &Column{Name: c.Name, Kind: Categorical, lookup: map[string]int{}}
-		out.codes = make([]int, len(rows))
-		for i, r := range rows {
-			out.codes[i] = out.internLevel(c.levels[c.codes[r]])
-		}
-		return out
-	case Int:
-		vals := make([]int64, len(rows))
-		for i, r := range rows {
-			vals[i] = c.ints[r]
-		}
-		return NewInt(c.Name, vals)
-	default:
-		vals := make([]float64, len(rows))
-		for i, r := range rows {
-			vals[i] = c.floats[r]
-		}
-		return NewFloat(c.Name, vals)
 	}
 }
 
@@ -240,104 +190,6 @@ func (f *Frame) Column(name string) (*Column, error) {
 		return nil, fmt.Errorf("table: no column %q", name)
 	}
 	return f.cols[i], nil
-}
-
-// MustColumn is Column but panics on error.
-func (f *Frame) MustColumn(name string) *Column {
-	c, err := f.Column(name)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Select returns a frame with only the named columns, in the given order.
-func (f *Frame) Select(names ...string) (*Frame, error) {
-	cols := make([]*Column, 0, len(names))
-	for _, n := range names {
-		c, err := f.Column(n)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, c)
-	}
-	return NewFrame(cols...)
-}
-
-// Filter returns the rows for which keep returns true.
-func (f *Frame) Filter(keep func(row int) bool) *Frame {
-	var rows []int
-	for i := 0; i < f.NumRows(); i++ {
-		if keep(i) {
-			rows = append(rows, i)
-		}
-	}
-	return f.Take(rows)
-}
-
-// Take returns a frame holding the given rows in order.
-func (f *Frame) Take(rows []int) *Frame {
-	cols := make([]*Column, len(f.cols))
-	for i, c := range f.cols {
-		cols[i] = c.gather(rows)
-	}
-	return MustFrame(cols...)
-}
-
-// Split partitions rows into two frames with the first nFirst rows of a
-// seeded random permutation. It errors if nFirst is out of range.
-func (f *Frame) Split(nFirst int, seed uint64) (*Frame, *Frame, error) {
-	n := f.NumRows()
-	if nFirst < 0 || nFirst > n {
-		return nil, nil, fmt.Errorf("table: split size %d out of range [0,%d]", nFirst, n)
-	}
-	perm := rng.New(seed).Perm(n)
-	return f.Take(perm[:nFirst]), f.Take(perm[nFirst:]), nil
-}
-
-// GroupCount counts rows per combination of the named categorical
-// columns. Keys are the level strings joined in column order.
-type GroupCount struct {
-	Values []string
-	Count  int
-}
-
-// GroupBy counts occurrences of each combination of the named categorical
-// columns, in first-appearance order.
-func (f *Frame) GroupBy(names ...string) ([]GroupCount, error) {
-	cols := make([]*Column, len(names))
-	for i, n := range names {
-		c, err := f.Column(n)
-		if err != nil {
-			return nil, err
-		}
-		if c.Kind != Categorical {
-			return nil, fmt.Errorf("table: GroupBy on non-categorical column %q", n)
-		}
-		cols[i] = c
-	}
-	type key string
-	counts := map[key]int{}
-	order := []key{}
-	values := map[key][]string{}
-	for row := 0; row < f.NumRows(); row++ {
-		vals := make([]string, len(cols))
-		k := ""
-		for i, c := range cols {
-			vals[i] = c.StringAt(row)
-			k += vals[i] + "\x00"
-		}
-		if _, seen := counts[key(k)]; !seen {
-			order = append(order, key(k))
-			values[key(k)] = vals
-		}
-		counts[key(k)]++
-	}
-	out := make([]GroupCount, len(order))
-	for i, k := range order {
-		out[i] = GroupCount{Values: values[k], Count: counts[k]}
-	}
-	return out, nil
 }
 
 // WriteCSV writes the frame with a header row.
@@ -416,74 +268,4 @@ func inferColumn(name string, raw []string) *Column {
 	default:
 		return NewCategorical(name, raw)
 	}
-}
-
-// OneHot encodes the named columns into a dense feature matrix:
-// categorical columns expand into one indicator per level (in level
-// order); numeric columns are standardized to zero mean and unit
-// variance (constant columns become all-zero). It returns the matrix and
-// generated feature names.
-func (f *Frame) OneHot(names ...string) ([][]float64, []string, error) {
-	n := f.NumRows()
-	var featNames []string
-	var builders []func(row int, dst []float64)
-	offset := 0
-	for _, name := range names {
-		c, err := f.Column(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch c.Kind {
-		case Categorical:
-			levels := c.Levels()
-			base := offset
-			col := c
-			for _, lv := range levels {
-				featNames = append(featNames, name+"="+lv)
-			}
-			builders = append(builders, func(row int, dst []float64) {
-				dst[base+col.Code(row)] = 1
-			})
-			offset += len(levels)
-		default:
-			mean, std := columnMoments(c)
-			base := offset
-			col := c
-			featNames = append(featNames, name)
-			builders = append(builders, func(row int, dst []float64) {
-				if std > 0 {
-					dst[base] = (col.FloatAt(row) - mean) / std
-				}
-			})
-			offset++
-		}
-	}
-	x := make([][]float64, n)
-	flat := make([]float64, n*offset)
-	for i := range x {
-		x[i] = flat[i*offset : (i+1)*offset]
-		for _, b := range builders {
-			b(i, x[i])
-		}
-	}
-	return x, featNames, nil
-}
-
-func columnMoments(c *Column) (mean, std float64) {
-	n := c.Len()
-	if n == 0 {
-		return 0, 0
-	}
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := c.FloatAt(i)
-		sum += v
-		sumSq += v * v
-	}
-	mean = sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if variance > 0 {
-		std = math.Sqrt(variance)
-	}
-	return mean, std
 }

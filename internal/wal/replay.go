@@ -14,9 +14,9 @@ import (
 )
 
 // maxScanRecord bounds a single record during recovery and replay,
-// independently of the WithMaxRecordBytes the log was opened with: a
-// log written under a larger limit must still recover, and a corrupt
-// length field must never drive a multi-gigabyte allocation.
+// independently of the append limit maxRecordBytes: a log written under
+// a larger limit must still recover, and a corrupt length field must
+// never drive a multi-gigabyte allocation.
 const maxScanRecord = 1 << 30
 
 // ReplayResult summarizes a read-only Replay pass.

@@ -34,7 +34,7 @@
 //     survive process crashes (kill -9) but not machine crashes.
 //
 // Transient fsync and rotation failures are retried with bounded
-// exponential backoff (WithRetryBackoff); exhausting the retries marks
+// exponential backoff; exhausting the retries marks
 // the log permanently failed, after which every Append/Sync fails fast
 // so the caller can fail into a degraded read-only mode instead of
 // silently dropping acknowledged writes.
@@ -59,9 +59,16 @@ const (
 	segmentSuffix = ".log"
 
 	defaultSegmentBytes = 64 << 20
-	defaultMaxRecord    = 16 << 20
-	defaultRetries      = 4
-	defaultRetryBase    = time.Millisecond
+
+	// maxRecordBytes is the largest accepted payload; oversized appends
+	// are rejected before touching the disk.
+	maxRecordBytes = 16 << 20
+
+	// retryAttempts and retryBase bound the exponential backoff applied
+	// to transient fsync/rotation errors: up to retryAttempts retries
+	// sleeping retryBase, 2·retryBase, 4·retryBase, …
+	retryAttempts = 4
+	retryBase     = time.Millisecond
 
 	// maxBackoff caps one backoff sleep regardless of attempt count.
 	maxBackoff = 500 * time.Millisecond
@@ -112,37 +119,23 @@ func (p SyncPolicy) String() string {
 
 type options struct {
 	segmentBytes int64
-	maxRecord    int
 	policy       SyncPolicy
-	retries      int
-	retryBase    time.Duration
 }
 
 // Option configures Open. Every option validates its arguments at
 // construction so a misconfigured log fails at the call site.
 type Option func(*options) error
 
-// WithSegmentBytes sets the rotation threshold: a segment is closed once
+// withSegmentBytes sets the rotation threshold: a segment is closed once
 // appending the next record would push it past n bytes. n must be at
 // least 1 KiB (a zero or tiny threshold would rotate on every record).
-func WithSegmentBytes(n int64) Option {
+// Tests use it to exercise rotation without writing 64 MiB segments.
+func withSegmentBytes(n int64) Option {
 	return func(o *options) error {
 		if n < 1<<10 {
-			return fmt.Errorf("wal: WithSegmentBytes(%d): segment size must be at least %d bytes", n, 1<<10)
+			return fmt.Errorf("wal: withSegmentBytes(%d): segment size must be at least %d bytes", n, 1<<10)
 		}
 		o.segmentBytes = n
-		return nil
-	}
-}
-
-// WithMaxRecordBytes sets the largest accepted payload. n must be in
-// (0, 1 GiB]; oversized appends are rejected before touching the disk.
-func WithMaxRecordBytes(n int) Option {
-	return func(o *options) error {
-		if n <= 0 || n > 1<<30 {
-			return fmt.Errorf("wal: WithMaxRecordBytes(%d): max record size must be in (0, %d]", n, 1<<30)
-		}
-		o.maxRecord = n
 		return nil
 	}
 }
@@ -154,24 +147,6 @@ func WithSyncPolicy(p SyncPolicy) Option {
 			return fmt.Errorf("wal: WithSyncPolicy(%d): unknown policy", uint8(p))
 		}
 		o.policy = p
-		return nil
-	}
-}
-
-// WithRetryBackoff bounds the exponential backoff applied to transient
-// fsync/rotation errors: up to attempts retries sleeping base, 2·base,
-// 4·base, … (capped at 500ms per sleep). attempts must be at least 1
-// and base a positive interval no longer than one second.
-func WithRetryBackoff(attempts int, base time.Duration) Option {
-	return func(o *options) error {
-		if attempts < 1 || attempts > 16 {
-			return fmt.Errorf("wal: WithRetryBackoff: attempts must be in [1, 16], got %d", attempts)
-		}
-		if base <= 0 || base > time.Second {
-			return fmt.Errorf("wal: WithRetryBackoff: base must be a positive interval of at most 1s, got %v", base)
-		}
-		o.retries = attempts
-		o.retryBase = base
 		return nil
 	}
 }
@@ -226,10 +201,7 @@ type Log struct {
 func Open(dir string, opts ...Option) (*Log, error) {
 	o := options{
 		segmentBytes: defaultSegmentBytes,
-		maxRecord:    defaultMaxRecord,
 		policy:       SyncBatch,
-		retries:      defaultRetries,
-		retryBase:    defaultRetryBase,
 	}
 	for _, opt := range opts {
 		if err := opt(&o); err != nil {
@@ -333,9 +305,6 @@ func (l *Log) Recovery() RecoveryInfo {
 	return l.rec
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Seq returns the sequence number of the last appended record (the
 // number of records ever appended, including recovered ones).
 func (l *Log) Seq() uint64 {
@@ -357,8 +326,8 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if len(payload) == 0 {
 		return 0, fmt.Errorf("wal: empty record")
 	}
-	if len(payload) > l.opt.maxRecord {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), l.opt.maxRecord)
+	if len(payload) > maxRecordBytes {
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecordBytes)
 	}
 	frame := int64(headerSize + len(payload))
 	if l.size > 0 && l.size+frame > l.opt.segmentBytes {
@@ -456,9 +425,9 @@ func (l *Log) rotateLocked() error {
 // attempts marks the log permanently failed.
 func (l *Log) retry(what string, op func() error) error {
 	var err error
-	for attempt := 0; attempt <= l.opt.retries; attempt++ {
+	for attempt := 0; attempt <= retryAttempts; attempt++ {
 		if attempt > 0 {
-			backoff := l.opt.retryBase << (attempt - 1)
+			backoff := retryBase << (attempt - 1)
 			if backoff > maxBackoff {
 				backoff = maxBackoff
 			}
@@ -468,7 +437,7 @@ func (l *Log) retry(what string, op func() error) error {
 			return nil
 		}
 	}
-	l.failLocked(fmt.Errorf("wal: %s failed after %d attempts: %w", what, l.opt.retries+1, err))
+	l.failLocked(fmt.Errorf("wal: %s failed after %d attempts: %w", what, retryAttempts+1, err))
 	return l.err
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // appendAll appends payloads and syncs, failing the test on any error.
@@ -53,9 +52,6 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if got := l.Seq(); got != 100 {
 		t.Fatalf("Seq = %d, want 100", got)
 	}
-	if got := l.Dir(); got != dir {
-		t.Fatalf("Dir = %q, want %q", got, dir)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -97,7 +93,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestReplayAfterSkipsDeliveredRecords(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithSegmentBytes(1<<10))
+	l, err := Open(dir, withSegmentBytes(1<<10))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -118,7 +114,7 @@ func TestReplayAfterSkipsDeliveredRecords(t *testing.T) {
 
 func TestRotationAndPrune(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithSegmentBytes(1<<10))
+	l, err := Open(dir, withSegmentBytes(1<<10))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -241,7 +237,7 @@ func TestZeroFilledTailIsNotRecords(t *testing.T) {
 
 func TestMidLogCorruptionDropsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithSegmentBytes(1<<10))
+	l, err := Open(dir, withSegmentBytes(1<<10))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -299,7 +295,7 @@ func TestMidLogCorruptionDropsLaterSegments(t *testing.T) {
 
 func TestSegmentGapStopsReplay(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithSegmentBytes(1<<10))
+	l, err := Open(dir, withSegmentBytes(1<<10))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -334,7 +330,7 @@ func TestSegmentGapStopsReplay(t *testing.T) {
 
 func TestAppendValidation(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithMaxRecordBytes(64))
+	l, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -342,7 +338,7 @@ func TestAppendValidation(t *testing.T) {
 	if _, err := l.Append(nil); err == nil {
 		t.Fatal("Append(nil) succeeded, want error")
 	}
-	if _, err := l.Append(make([]byte, 65)); err == nil {
+	if _, err := l.Append(make([]byte, maxRecordBytes+1)); err == nil {
 		t.Fatal("oversized Append succeeded, want error")
 	}
 	if seq := l.Seq(); seq != 0 {
@@ -355,13 +351,8 @@ func TestOptionValidation(t *testing.T) {
 		name string
 		opt  Option
 	}{
-		{"segment too small", WithSegmentBytes(512)},
-		{"zero max record", WithMaxRecordBytes(0)},
-		{"oversized max record", WithMaxRecordBytes(1<<30 + 1)},
+		{"segment too small", withSegmentBytes(512)},
 		{"unknown policy", WithSyncPolicy(SyncPolicy(9))},
-		{"zero attempts", WithRetryBackoff(0, time.Millisecond)},
-		{"zero base", WithRetryBackoff(3, 0)},
-		{"huge base", WithRetryBackoff(3, 2*time.Second)},
 	}
 	for _, tc := range cases {
 		if _, err := Open(t.TempDir(), tc.opt); err == nil {
@@ -404,7 +395,7 @@ func TestSyncPolicies(t *testing.T) {
 
 func TestConcurrentAppendSync(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithSegmentBytes(1<<10))
+	l, err := Open(dir, withSegmentBytes(1<<10))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

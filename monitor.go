@@ -30,7 +30,7 @@ type Monitor struct {
 	// ladderHook, when non-nil, replaces the incremental subset-ladder
 	// source in Audit. Tests use it to force incremental failures and pin
 	// that the fallback is visible in the report, never silent.
-	ladderHook func() ([]SubsetEpsilon, error)
+	ladderHook func(dst *Counts) ([]SubsetEpsilon, error)
 }
 
 // ErrIncrementalUnavailable is returned by the incremental subset-ladder
@@ -188,12 +188,6 @@ func (w *Watch) ObserveBatchChecked(groups, outcomes []int) (*Alert, float64, er
 // engine, never a merge of every shard.
 func (w *Watch) Check() (*Alert, float64, error) { return w.inner.Check() }
 
-// CheckFull is Check computed the pre-incremental way, from a full
-// shard merge and a from-scratch evaluation: the authoritative
-// recompute retained for verification and benchmarking. For the
-// integer-count window policies its result is bit-identical to Check.
-func (w *Watch) CheckFull() (*Alert, float64, error) { return w.inner.CheckFull() }
-
 // WriteState serializes the monitor's full engine state — tickets,
 // decay bases, bucket epochs, and cells as raw IEEE-754 bits — so a
 // restored monitor reports byte-identically to the original. The caller
@@ -231,33 +225,40 @@ func MonitorShards() int { return stream.DefaultShards() }
 // and will reject it) — use WithCredible there. Tumbling and sliding
 // windows hold integral counts, and the bootstrap applies.
 func (m *Monitor) Audit(ctx context.Context, opts ...Option) (*Report, error) {
-	snap, err := m.inner.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("fairness: Monitor.Audit: %w", err)
-	}
 	auditor, err := NewAuditor(m.space, m.outcomes, append([]Option{WithAlpha(m.alpha)}, opts...)...)
 	if err != nil {
 		return nil, err
 	}
+	reason := ""
 	if auditor.cfg.subsets && auditor.cfg.alpha == m.alpha {
 		ladderOf := m.inner.EpsilonSubsets
 		if m.ladderHook != nil {
 			ladderOf = m.ladderHook
 		}
-		ladder, lerr := ladderOf()
+		// The ladder and the counts the rest of the report reads come
+		// from one sync at one ticket, so concurrent ingest cannot make
+		// the full-intersection row disagree with the report's ε.
+		counts, err := NewCounts(m.space, m.outcomes)
+		if err != nil {
+			return nil, err
+		}
+		ladder, lerr := ladderOf(counts)
 		if lerr == nil {
-			return auditor.runWithLadder(ctx, snap, ladder)
+			return auditor.runWithLadder(ctx, counts, ladder)
 		}
 		// The fallback to the snapshot ladder keeps the audit serviceable
 		// (error reporting identical to the pre-incremental path), but it
 		// must be visible: the report records the source and the reason,
 		// with ErrIncrementalUnavailable (a policy property, expected for
 		// exponential decay) distinguished from genuine failures.
-		reason := "incremental ladder failed: " + lerr.Error()
+		reason = "incremental ladder failed: " + lerr.Error()
 		if errors.Is(lerr, ErrIncrementalUnavailable) {
 			reason = "incremental ladder unavailable for this window policy: " + lerr.Error()
 		}
-		return auditor.runSnapshotLadder(ctx, snap, reason)
 	}
-	return auditor.runSnapshotLadder(ctx, snap, "")
+	snap, err := m.inner.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("fairness: Monitor.Audit: %w", err)
+	}
+	return auditor.runSnapshotLadder(ctx, snap, reason)
 }

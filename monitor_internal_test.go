@@ -59,7 +59,7 @@ func TestAuditForcedIncrementalFailureIsVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mon.ladderHook = func() ([]SubsetEpsilon, error) {
+	mon.ladderHook = func(*Counts) ([]SubsetEpsilon, error) {
 		return nil, errors.New("synthetic ladder corruption")
 	}
 	rep, err := mon.Audit(context.Background())
@@ -82,6 +82,36 @@ func TestAuditForcedIncrementalFailureIsVisible(t *testing.T) {
 		if rep.Ladder[i].Epsilon != clean.Ladder[i].Epsilon {
 			t.Errorf("ladder row %d: fallback ε %v != incremental ε %v",
 				i, rep.Ladder[i].Epsilon, clean.Ladder[i].Epsilon)
+		}
+	}
+}
+
+// TestAuditLadderAndEpsilonShareOneTicket: a batch that lands while
+// Audit computes the ladder must not make the report's full-intersection
+// ladder row disagree with its ε — both come from one sync.
+func TestAuditLadderAndEpsilonShareOneTicket(t *testing.T) {
+	mon := skewedTumblingMonitor(t)
+	mon.ladderHook = func(dst *Counts) ([]SubsetEpsilon, error) {
+		groups := make([]int, 64)
+		outcomes := make([]int, 64)
+		for i := range outcomes {
+			outcomes[i] = 1
+		}
+		if err := mon.ObserveBatch(groups, outcomes); err != nil {
+			return nil, err
+		}
+		return mon.inner.EpsilonSubsets(dst)
+	}
+	rep, err := mon.Audit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LadderSource != LadderSourceIncremental {
+		t.Fatalf("ladder_source = %q, want %q", rep.LadderSource, LadderSourceIncremental)
+	}
+	for _, row := range rep.Ladder {
+		if len(row.Attrs) == mon.space.NumAttrs() && row.Epsilon != rep.Epsilon {
+			t.Fatalf("full-intersection ladder row ε %v != report ε %v", row.Epsilon, rep.Epsilon)
 		}
 	}
 }

@@ -18,14 +18,14 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_resample.json}"
 input="${2:-}"
 benchtime="${BENCHTIME:-1x}"
-pattern='BenchmarkEpsilonBootstrap|BenchmarkMultinomialDraw|BenchmarkEpsilonCredible|BenchmarkBootstrap$|BenchmarkBayesPosterior'
+pattern='BenchmarkEpsilonBootstrap|BenchmarkMultinomialDraw|BenchmarkEpsilonCredible|BenchmarkBootstrap$'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 if [[ -n "$input" ]]; then
   cp "$input" "$raw"
 else
-  go test -run 'xxx' -bench "$pattern" -benchmem -benchtime "$benchtime" . | tee "$raw"
+  go test -run 'xxx' -bench "$pattern" -benchmem -benchtime "$benchtime" . ./internal/resample | tee "$raw"
 fi
 
 awk -v pat="^(${pattern})" '

@@ -35,7 +35,7 @@ trap 'rm -f "$raw"' EXIT
 if [[ -n "$input" ]]; then
   cp "$input" "$raw"
 else
-  go test -run 'xxx' -bench "$pattern" -benchmem -benchtime "$benchtime" . | tee "$raw"
+  go test -run 'xxx' -bench "$pattern" -benchmem -benchtime "$benchtime" . ./internal/stream | tee "$raw"
 fi
 
 awk -v pat="^(${pattern})" '
