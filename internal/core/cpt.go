@@ -152,10 +152,39 @@ func (c *CPT) Validate() error {
 		}
 	}
 	if supported < 2 {
-		return fmt.Errorf("core: only %d supported groups; need at least two to compare: %w",
-			supported, ErrDegenerateSupport)
+		return degenerateSupport(supported)
 	}
 	return nil
+}
+
+// degenerateSupport is the validation failure of a table with n < 2
+// supported groups, wrapping ErrDegenerateSupport.
+func degenerateSupport(n int) error {
+	return fmt.Errorf("core: only %d supported groups; need at least two to compare: %w",
+		n, ErrDegenerateSupport)
+}
+
+// OutcomeExtrema scans the supported groups for the extreme rates of
+// outcome y: hi and lo are the maximum and minimum P(y|s), hiG and loG
+// the lowest group indices attaining them (an ascending strict-replace
+// scan). With no supported group it returns (−1, −1, −Inf, +Inf).
+func (c *CPT) OutcomeExtrema(y int) (hiG, loG int, hi, lo float64) {
+	hiG, loG = -1, -1
+	hi, lo = math.Inf(-1), math.Inf(1)
+	k := len(c.outcomes)
+	for g, w := range c.weight {
+		if w <= 0 {
+			continue
+		}
+		p := c.p[g*k+y]
+		if p > hi {
+			hi, hiG = p, g
+		}
+		if p < lo {
+			lo, loG = p, g
+		}
+	}
+	return hiG, loG, hi, lo
 }
 
 // Clone returns a deep copy.
@@ -236,8 +265,7 @@ func (c *CPT) BinaryRates() (groups []int, rates, weights []float64, err error) 
 		weights = append(weights, c.weight[g])
 	}
 	if len(groups) < 2 {
-		return nil, nil, nil, fmt.Errorf("core: only %d supported groups; need at least two to compare: %w",
-			len(groups), ErrDegenerateSupport)
+		return nil, nil, nil, degenerateSupport(len(groups))
 	}
 	return groups, rates, weights, nil
 }

@@ -59,41 +59,39 @@ func Epsilon(c *CPT) (EpsilonResult, error) {
 	for y := 0; y < c.NumOutcomes(); y++ {
 		// For a fixed outcome the maximal |log ratio| over pairs is
 		// log(max) − log(min), so a single scan over the supported groups
-		// suffices (checked inline to avoid the SupportedGroups slice).
-		hiG, loG := -1, -1
-		hiP, loP := math.Inf(-1), math.Inf(1)
-		anyPositive := false
-		for g := 0; g < c.space.Size(); g++ {
-			if c.weight[g] <= 0 {
-				continue
-			}
-			p := c.Prob(g, y)
-			if p > 0 {
-				anyPositive = true
-			}
-			if p > hiP {
-				hiP, hiG = p, g
-			}
-			if p < loP {
-				loP, loG = p, g
-			}
-		}
-		if !anyPositive {
-			continue // outcome unreachable for all groups: skip
-		}
-		if loP == 0 {
-			return EpsilonResult{
-				Epsilon: math.Inf(1),
-				Witness: Witness{Outcome: y, GroupHi: hiG, GroupLo: loG},
-				Finite:  false,
-			}, nil
-		}
-		if d := math.Log(hiP) - math.Log(loP); d > res.Epsilon {
-			res.Epsilon = d
-			res.Witness = Witness{Outcome: y, GroupHi: hiG, GroupLo: loG}
+		// suffices.
+		hiG, loG, hiP, loP := c.OutcomeExtrema(y)
+		if epsilonStep(&res, y, hiG, loG, hiP, loP) {
+			break
 		}
 	}
 	return res, nil
+}
+
+// epsilonStep folds one outcome's extreme rates into res — the
+// per-outcome step of Definition 3.1 shared by Epsilon and
+// EpsilonMetric.EvalExtrema. An outcome no supported group reaches
+// (hi = 0: the ratio 0/0 carries no fairness information) is skipped; a
+// zero against a positive rate sets ε = +Inf and reports true, ending
+// the fold; otherwise the log ratio replaces res only on strict
+// improvement, so the first outcome wins ties.
+func epsilonStep(res *EpsilonResult, y, hiG, loG int, hi, lo float64) bool {
+	if !(hi > 0) {
+		return false
+	}
+	if lo == 0 {
+		*res = EpsilonResult{
+			Epsilon: math.Inf(1),
+			Witness: Witness{Outcome: y, GroupHi: hiG, GroupLo: loG},
+			Finite:  false,
+		}
+		return true
+	}
+	if d := math.Log(hi) - math.Log(lo); d > res.Epsilon {
+		res.Epsilon = d
+		res.Witness = Witness{Outcome: y, GroupHi: hiG, GroupLo: loG}
+	}
+	return false
 }
 
 // MustEpsilon is Epsilon but panics on error.
@@ -178,12 +176,7 @@ func EpsilonSubsetsCounts(c *Counts, alpha float64) ([]SubsetEpsilon, error) {
 	}
 	out := make([]SubsetEpsilon, len(ladders[0]))
 	for i, s := range ladders[0] {
-		r := s.Result
-		out[i] = SubsetEpsilon{
-			Attrs:  s.Attrs,
-			Result: EpsilonResult{Epsilon: r.Value, Witness: r.Witness, Finite: r.Finite},
-			Space:  s.Space,
-		}
+		out[i] = SubsetEpsilon{Attrs: s.Attrs, Result: s.Result.AsEpsilon(), Space: s.Space}
 	}
 	return out, nil
 }

@@ -57,6 +57,44 @@ type Metric interface {
 	Eval(c *CPT) (MetricResult, error)
 }
 
+// Extrema is the per-outcome extreme-rate view of a table's supported
+// groups: everything ε and the worst-case pairwise metrics read from a
+// CPT. A scan of a CPT (CPT.OutcomeExtrema) and the streaming engine's
+// incrementally maintained cache produce the same view, ties broken
+// toward the lowest group index, so a metric computed from it is
+// bit-identical to the same metric's Eval on the CPT.
+type Extrema struct {
+	// Supported is the number of supported groups (P(s) > 0).
+	Supported int
+	// Hi[y] and Lo[y] are the maximum and minimum of P(y|s) over the
+	// supported groups (−Inf and +Inf when none is supported).
+	Hi, Lo []float64
+	// HiG[y] and LoG[y] are the lowest group indices attaining Hi[y]
+	// and Lo[y], or −1 when no group is supported.
+	HiG, LoG []int32
+}
+
+// Validate fails with an error wrapping ErrDegenerateSupport when fewer
+// than two groups are supported — the condition CPT.Validate reports
+// for the table the view describes.
+func (e *Extrema) Validate() error {
+	if e.Supported < 2 {
+		return degenerateSupport(e.Supported)
+	}
+	return nil
+}
+
+// ExtremaMetric is a Metric that is a function of the per-outcome
+// extrema alone. EvalExtrema must agree with Eval on every CPT whose
+// extrema it is given — values, witnesses and ErrDegenerateSupport — so
+// a caller that keeps Extrema current (the streaming Watch) can skip
+// building the CPT. Metrics that read more of the table (group masses,
+// the pooled rate) implement only Metric.
+type ExtremaMetric interface {
+	Metric
+	EvalExtrema(e *Extrema) (MetricResult, error)
+}
+
 // MetricWorse reports whether a is worse (more unfair) than b under the
 // metric's orientation.
 func MetricWorse(m Metric, a, b float64) bool {
@@ -117,9 +155,32 @@ func (EpsilonMetric) Eval(c *CPT) (MetricResult, error) {
 	return r.AsMetric(), nil
 }
 
+// EvalExtrema implements ExtremaMetric: Epsilon's outcome fold over
+// cached extrema instead of a CPT scan.
+//
+//df:hotpath
+func (EpsilonMetric) EvalExtrema(e *Extrema) (MetricResult, error) {
+	if err := e.Validate(); err != nil {
+		return MetricResult{}, err
+	}
+	res := EpsilonResult{Epsilon: 0, Finite: true}
+	for y := range e.Hi {
+		if epsilonStep(&res, y, int(e.HiG[y]), int(e.LoG[y]), e.Hi[y], e.Lo[y]) {
+			break
+		}
+	}
+	return res.AsMetric(), nil
+}
+
 // AsMetric is the ε result in the generic metric form.
 func (r EpsilonResult) AsMetric() MetricResult {
 	return MetricResult{Value: r.Epsilon, Witness: r.Witness, Finite: r.Finite}
+}
+
+// AsEpsilon is the inverse of EpsilonResult.AsMetric, for an ε measured
+// through the generic metric path.
+func (r MetricResult) AsEpsilon() EpsilonResult {
+	return EpsilonResult{Epsilon: r.Value, Witness: r.Witness, Finite: r.Finite}
 }
 
 // SubsetMetric is one metric value measured over a subset of the

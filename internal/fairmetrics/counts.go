@@ -19,6 +19,10 @@ import (
 // Every Eval scans supported groups in ascending index order with
 // strict comparisons, matching core.Epsilon's min-index tie-breaking,
 // so values AND witnesses are a deterministic function of the table.
+// The metrics that are functions of the per-outcome extreme rates alone
+// (WorstGap, WorstRatio, AlphaIntersectional, DemographicParity) also
+// implement core.ExtremaMetric; Eval and EvalExtrema share one formula
+// per metric, so the two forms agree bit for bit.
 
 // binaryOnly rejects non-binary outcome vocabularies for the metrics
 // defined on a positive-outcome rate.
@@ -32,25 +36,14 @@ func binaryOnly(key string, space *core.Space, outcomes []string) error {
 	return nil
 }
 
-// positiveRates scans a validated binary CPT for the extreme
-// positive-outcome rates over supported groups. Ties break toward the
-// lowest group index, like core.Epsilon.
-func positiveRates(c *core.CPT) (hiG, loG int, hiP, loP float64) {
-	hiG, loG = -1, -1
-	hiP, loP = math.Inf(-1), math.Inf(1)
-	for g := 0; g < c.Space().Size(); g++ {
-		if c.Weight(g) <= 0 {
-			continue
-		}
-		p := c.Prob(g, 1)
-		if p > hiP {
-			hiP, hiG = p, g
-		}
-		if p < loP {
-			loP, loG = p, g
-		}
-	}
-	return hiG, loG, hiP, loP
+// positive is the index of the positive outcome in a binary
+// vocabulary, the outcome the rate-based metrics compare.
+const positive = 1
+
+// positiveRates reads the extreme positive-outcome rates from a
+// validated extrema view.
+func positiveRates(e *core.Extrema) (hiG, loG int, hiP, loP float64) {
+	return int(e.HiG[positive]), int(e.LoG[positive]), e.Hi[positive], e.Lo[positive]
 }
 
 // WorstGap is the worst-case pairwise rate gap of Ghosh et al.: the
@@ -91,28 +84,34 @@ func (WorstGap) Eval(c *core.CPT) (core.MetricResult, error) {
 	}
 	res := core.MetricResult{Finite: true}
 	for y := 0; y < c.NumOutcomes(); y++ {
-		hiG, loG := -1, -1
-		hiP, loP := math.Inf(-1), math.Inf(1)
-		for g := 0; g < c.Space().Size(); g++ {
-			if c.Weight(g) <= 0 {
-				continue
-			}
-			p := c.Prob(g, y)
-			if p > hiP {
-				hiP, hiG = p, g
-			}
-			if p < loP {
-				loP, loG = p, g
-			}
-		}
-		// y == 0 seeds the witness so a perfectly uniform table still
-		// names real supported groups instead of the zero value.
-		if d := hiP - loP; y == 0 || d > res.Value {
-			res.Value = d
-			res.Witness = core.Witness{Outcome: y, GroupHi: hiG, GroupLo: loG}
-		}
+		hiG, loG, hiP, loP := c.OutcomeExtrema(y)
+		worstGapStep(&res, y, hiG, loG, hiP, loP)
 	}
 	return res, nil
+}
+
+// EvalExtrema implements core.ExtremaMetric.
+//
+//df:hotpath
+func (WorstGap) EvalExtrema(e *core.Extrema) (core.MetricResult, error) {
+	if err := e.Validate(); err != nil {
+		return core.MetricResult{}, err
+	}
+	res := core.MetricResult{Finite: true}
+	for y := range e.Hi {
+		worstGapStep(&res, y, int(e.HiG[y]), int(e.LoG[y]), e.Hi[y], e.Lo[y])
+	}
+	return res, nil
+}
+
+// worstGapStep folds one outcome's rate spread into res. y == 0 seeds
+// the witness so a perfectly uniform table still names real supported
+// groups instead of the zero value.
+func worstGapStep(res *core.MetricResult, y, hiG, loG int, hiP, loP float64) {
+	if d := hiP - loP; y == 0 || d > res.Value {
+		res.Value = d
+		res.Witness = core.Witness{Outcome: y, GroupHi: hiG, GroupLo: loG}
+	}
 }
 
 // WorstRatio is the worst-case pairwise ratio of Ghosh et al. restricted
@@ -148,16 +147,30 @@ func (WorstRatio) Applicable(space *core.Space, outcomes []string) error {
 }
 
 // Eval implements core.Metric.
-func (WorstRatio) Eval(c *core.CPT) (core.MetricResult, error) {
+func (m WorstRatio) Eval(c *core.CPT) (core.MetricResult, error) {
 	if err := c.Validate(); err != nil {
 		return core.MetricResult{}, err
 	}
-	hiG, loG, hiP, loP := positiveRates(c)
-	w := core.Witness{Outcome: 1, GroupHi: hiG, GroupLo: loG}
-	if hiP == 0 {
-		return core.MetricResult{Value: 1, Witness: w, Finite: true}, nil
+	return m.result(c.OutcomeExtrema(positive)), nil
+}
+
+// EvalExtrema implements core.ExtremaMetric.
+//
+//df:hotpath
+func (m WorstRatio) EvalExtrema(e *core.Extrema) (core.MetricResult, error) {
+	if err := e.Validate(); err != nil {
+		return core.MetricResult{}, err
 	}
-	return core.MetricResult{Value: loP / hiP, Witness: w, Finite: true}, nil
+	return m.result(positiveRates(e)), nil
+}
+
+// result is the ratio from the extreme positive rates.
+func (WorstRatio) result(hiG, loG int, hiP, loP float64) core.MetricResult {
+	w := core.Witness{Outcome: positive, GroupHi: hiG, GroupLo: loG}
+	if hiP == 0 {
+		return core.MetricResult{Value: 1, Witness: w, Finite: true}
+	}
+	return core.MetricResult{Value: loP / hiP, Witness: w, Finite: true}
 }
 
 // AlphaIntersectional is the α-intersectional family of Maheshwari et
@@ -204,12 +217,26 @@ func (m AlphaIntersectional) Eval(c *core.CPT) (core.MetricResult, error) {
 	if err := c.Validate(); err != nil {
 		return core.MetricResult{}, err
 	}
-	hiG, loG, hiP, loP := positiveRates(c)
+	return m.result(c.OutcomeExtrema(positive)), nil
+}
+
+// EvalExtrema implements core.ExtremaMetric.
+//
+//df:hotpath
+func (m AlphaIntersectional) EvalExtrema(e *core.Extrema) (core.MetricResult, error) {
+	if err := e.Validate(); err != nil {
+		return core.MetricResult{}, err
+	}
+	return m.result(positiveRates(e)), nil
+}
+
+// result is the α-interpolated value from the extreme positive rates.
+func (m AlphaIntersectional) result(hiG, loG int, hiP, loP float64) core.MetricResult {
 	return core.MetricResult{
 		Value:   m.Alpha*(1-loP) + (1-m.Alpha)*(hiP-loP),
-		Witness: core.Witness{Outcome: 1, GroupHi: hiG, GroupLo: loG},
+		Witness: core.Witness{Outcome: positive, GroupHi: hiG, GroupLo: loG},
 		Finite:  true,
-	}, nil
+	}
 }
 
 // SubgroupParity is Kearns et al.'s statistical-parity subgroup
@@ -306,14 +333,28 @@ func (DemographicParity) Applicable(space *core.Space, outcomes []string) error 
 }
 
 // Eval implements core.Metric.
-func (DemographicParity) Eval(c *core.CPT) (core.MetricResult, error) {
+func (m DemographicParity) Eval(c *core.CPT) (core.MetricResult, error) {
 	if err := c.Validate(); err != nil {
 		return core.MetricResult{}, err
 	}
-	hiG, loG, hiP, loP := positiveRates(c)
+	return m.result(c.OutcomeExtrema(positive)), nil
+}
+
+// EvalExtrema implements core.ExtremaMetric.
+//
+//df:hotpath
+func (m DemographicParity) EvalExtrema(e *core.Extrema) (core.MetricResult, error) {
+	if err := e.Validate(); err != nil {
+		return core.MetricResult{}, err
+	}
+	return m.result(positiveRates(e)), nil
+}
+
+// result is the rate spread from the extreme positive rates.
+func (DemographicParity) result(hiG, loG int, hiP, loP float64) core.MetricResult {
 	return core.MetricResult{
 		Value:   hiP - loP,
-		Witness: core.Witness{Outcome: 1, GroupHi: hiG, GroupLo: loG},
+		Witness: core.Witness{Outcome: positive, GroupHi: hiG, GroupLo: loG},
 		Finite:  true,
-	}, nil
+	}
 }

@@ -238,3 +238,93 @@ func TestCountsMetricTieBreaks(t *testing.T) {
 		}
 	}
 }
+
+// extremaOf builds the core.Extrema view of a CPT by scanning it, the
+// reference for the streaming engine's cached view.
+func extremaOf(c *core.CPT) *core.Extrema {
+	e := &core.Extrema{}
+	for g := 0; g < c.Space().Size(); g++ {
+		if c.Supported(g) {
+			e.Supported++
+		}
+	}
+	for y := 0; y < c.NumOutcomes(); y++ {
+		hiG, loG, hi, lo := c.OutcomeExtrema(y)
+		e.Hi, e.Lo = append(e.Hi, hi), append(e.Lo, lo)
+		e.HiG, e.LoG = append(e.HiG, int32(hiG)), append(e.LoG, int32(loG))
+	}
+	return e
+}
+
+// TestExtremaFormMatchesEval: for every metric with an extrema form,
+// EvalExtrema on a table's extrema view equals Eval on the table —
+// identical value bits, witness and Finite flag, and the same
+// degenerate-support error — over random binary and three-outcome
+// tables with empty groups, zero cells, one or no supported group, and
+// both estimators. Subgroup parity reads group masses and has no
+// extrema form.
+func TestExtremaFormMatchesEval(t *testing.T) {
+	space, err := core.NewSpace(
+		core.Attr{Name: "a", Values: []string{"x", "y"}},
+		core.Attr{Name: "b", Values: []string{"p", "q", "r"}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := append([]core.Metric{core.DFEpsilon}, countsMetrics()...)
+	for _, m := range metrics {
+		_, ok := m.(core.ExtremaMetric)
+		if want := m.Key() != "subgroup"; ok != want {
+			t.Fatalf("%s: implements core.ExtremaMetric = %v, want %v", m.Key(), ok, want)
+		}
+	}
+	r := rng.New(43)
+	degenerate := 0
+	for trial := 0; trial < 400; trial++ {
+		outcomes := []string{"neg", "pos"}
+		if trial%3 == 2 {
+			outcomes = []string{"low", "mid", "high"}
+		}
+		counts, err := core.NewCounts(space, outcomes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill := r.Float64() // some trials leave all but a group or two empty
+		for g := 0; g < space.Size(); g++ {
+			if r.Float64() > fill {
+				continue
+			}
+			for y := range outcomes {
+				counts.MustAdd(g, y, float64(r.Intn(6))) // zero cells are common
+			}
+		}
+		cpt := counts.Empirical()
+		if trial%2 == 1 {
+			if cpt, err = counts.Smoothed(0.5, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := extremaOf(cpt)
+		for _, m := range metrics {
+			em, ok := m.(core.ExtremaMetric)
+			if !ok || m.Applicable(space, outcomes) != nil {
+				continue
+			}
+			want, werr := m.Eval(cpt)
+			got, gerr := em.EvalExtrema(e)
+			if (werr == nil) != (gerr == nil) || errors.Is(werr, core.ErrDegenerateSupport) != errors.Is(gerr, core.ErrDegenerateSupport) {
+				t.Fatalf("trial %d: %s: Eval error %v, EvalExtrema error %v", trial, m.Key(), werr, gerr)
+			}
+			if werr != nil {
+				degenerate++
+				continue
+			}
+			if math.Float64bits(got.Value) != math.Float64bits(want.Value) || got.Witness != want.Witness || got.Finite != want.Finite {
+				t.Fatalf("trial %d: %s: EvalExtrema %+v, Eval %+v", trial, m.Key(), got, want)
+			}
+		}
+	}
+	if degenerate == 0 {
+		t.Error("no degenerate table was drawn")
+	}
+}

@@ -30,22 +30,32 @@ func Workers(requested, n int) int {
 	return w
 }
 
-// Do runs task(state, i) for every i in [0, n) on `workers` goroutines
-// (0 = one per CPU). Each worker calls newState once and reuses the
-// returned scratch across all tasks it executes, so per-task allocations
-// are amortized to zero. Tasks are claimed dynamically (an atomic cursor),
-// which balances uneven task costs; determinism is the task's job — write
-// results only to slot i and derive any randomness from i, never from the
-// executing worker or claim order.
-func Do[S any](workers, n int, newState func() S, task func(state S, i int)) {
+// run is the worker pool behind DoCtx: w = Workers(workers, n)
+// goroutines (inline when w is 1), each calling newState once and
+// reusing the returned scratch across all tasks it executes, so
+// per-task allocations are amortized to zero. Workers claim indices
+// from one atomic cursor — which balances uneven task costs, and gives
+// every worker its own indices in increasing order — until the cursor
+// passes n or stop is closed. stop is checked before every claim, so
+// after it closes each worker runs at most the one task it had already
+// claimed. task receives the worker's number in [0, w).
+func run[S any](workers, n int, stop <-chan struct{}, newState func() S, task func(worker int, state S, i int)) {
 	if n <= 0 {
 		return
 	}
 	w := Workers(workers, n)
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
 	if w == 1 {
 		s := newState()
-		for i := 0; i < n; i++ {
-			task(s, i)
+		for i := 0; i < n && !stopped(); i++ {
+			task(0, s, i)
 		}
 		return
 	}
@@ -56,26 +66,36 @@ func Do[S any](workers, n int, newState func() S, task func(state S, i int)) {
 		go func() {
 			defer wg.Done()
 			s := newState()
-			for {
+			for !stopped() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				task(s, i)
+				task(k, s, i)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// DoCtx is Do for tasks that can fail, with cooperative cancellation:
-// workers stop claiming new tasks as soon as ctx is done, and the call
+// DoCtx runs task(state, i) for every i in [0, n) on `workers`
+// goroutines (0 = one per CPU), each with private scratch from newState
+// (see run). Determinism is the task's job: write results only to slot
+// i and derive any randomness from i, never from the executing worker
+// or claim order.
+//
+// Tasks can fail, and cancellation is cooperative: workers stop
+// claiming tasks as soon as ctx is done, and the call
 // returns ctx.Err(). Cancellation is checked between tasks, not inside
-// them, so the latency of a cancel is bounded by one task's duration per
-// worker. When ctx is never canceled, every task runs regardless of
-// other tasks' failures (slots stay deterministic) and the error of the
+// them, so at most one task per worker starts after a cancel and the
+// latency of a cancel is bounded by one task's duration per worker.
+// When ctx is never canceled, every task runs regardless of other
+// tasks' failures (slots stay deterministic) and the error of the
 // lowest-indexed failed task is returned — the same error no matter how
-// tasks were scheduled — or nil if all succeeded.
+// tasks were scheduled — or nil if all succeeded. Failures are kept per
+// worker, not per task: each worker claims increasing indices, so its
+// first failure is its lowest-indexed one, and the lowest of those is
+// the lowest overall.
 //
 // ctx must be non-nil: this package never fabricates a root context
 // (the ctxflow invariant), so callers without a deadline pass
@@ -87,23 +107,24 @@ func DoCtx[S any](ctx context.Context, workers, n int, newState func() S, task f
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	errs := make([]error, n)
-	done := ctx.Done()
-	Do(workers, n, newState, func(s S, i int) {
-		select {
-		case <-done:
-			errs[i] = ctx.Err()
-		default:
-			errs[i] = task(s, i)
+	type failure struct {
+		i   int
+		err error
+	}
+	first := make([]failure, Workers(workers, n))
+	run(workers, n, ctx.Done(), newState, func(k int, s S, i int) {
+		if err := task(s, i); err != nil && first[k].err == nil {
+			first[k] = failure{i, err}
 		}
 	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var lowest failure
+	for _, f := range first {
+		if f.err != nil && (lowest.err == nil || f.i < lowest.i) {
+			lowest = f
 		}
 	}
-	return nil
+	return lowest.err
 }

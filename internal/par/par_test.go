@@ -3,9 +3,16 @@ package par
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
+
+// Do runs an infallible task for every index on the DoCtx pool, with
+// no cancellation: the shape the pool tests below exercise.
+func Do[S any](workers, n int, newState func() S, task func(state S, i int)) {
+	run(workers, n, nil, newState, func(_ int, s S, i int) { task(s, i) })
+}
 
 func TestWorkers(t *testing.T) {
 	if got := Workers(4, 100); got != 4 {
@@ -135,6 +142,74 @@ func TestDoCtxBackgroundRunsEveryTaskOnce(t *testing.T) {
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("task %d ran %d times", i, h)
+		}
+	}
+}
+
+// TestDoCtxStopsClaimingAfterCancel pins the cancellation contract:
+// once ctx is done each worker finishes at most the task it already
+// claimed, so at most `workers` tasks start after the cancel.
+func TestDoCtxStopsClaimingAfterCancel(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var started, late atomic.Int64
+		var canceled atomic.Bool
+		err := DoCtx(ctx, workers, 1_000_000, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
+			if canceled.Load() {
+				late.Add(1)
+			}
+			if started.Add(1) == 50 {
+				cancel()
+				canceled.Store(true)
+			}
+			return nil
+		})
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if n := late.Load(); n > int64(workers) {
+			t.Errorf("workers=%d: %d tasks started after cancel, want at most %d", workers, n, workers)
+		}
+	}
+}
+
+// TestDoCtxErrorStateIsPerWorker: DoCtx's bookkeeping is per worker, not
+// per task — a canceled million-task run allocates far less than the
+// 16 MB an error slot per task would take.
+func TestDoCtxErrorStateIsPerWorker(t *testing.T) {
+	const n = 1_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ctx, cancel := context.WithCancel(context.Background())
+	var started atomic.Int64
+	err := DoCtx(ctx, 2, n, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
+		if started.Add(1) == 10 {
+			cancel()
+		}
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("DoCtx allocated %d bytes for %d tasks, want O(workers)", got, n)
+	}
+}
+
+// TestDoCtxLowestIndexedErrorAcrossWorkers: with failures spread over
+// many tasks and workers, the lowest-indexed one is returned on every
+// run, whichever worker hit it first.
+func TestDoCtxLowestIndexedErrorAcrossWorkers(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		err := DoCtx(context.Background(), 4, 2000, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
+			if i%97 == 41 {
+				return fmt.Errorf("task %d failed", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "task 41 failed" {
+			t.Fatalf("run %d: got %v, want task 41's error", run, err)
 		}
 	}
 }

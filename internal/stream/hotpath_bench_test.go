@@ -4,18 +4,34 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fairmetrics"
 )
 
-// BenchmarkHotPathObserveBatch asserts the //df:hotpath contract on
-// Monitor.ObserveBatch at the benchmark layer: the CI bench smoke
-// parses every BenchmarkHotPath* line and fails unless it reports
-// 0 allocs/op (scripts/alloc_gate.sh).
 // BenchmarkHotPathIncrementalCheck asserts the //df:hotpath contract on
 // the incremental delta-apply path — dirty-log record, drain,
 // window-eviction deltas and the cached-extrema ε refresh — by running
 // checked batched ingest in steady state: scripts/alloc_gate.sh fails
 // unless it reports 0 allocs/op.
 func BenchmarkHotPathIncrementalCheck(b *testing.B) {
+	benchCheckedIngest(b)
+}
+
+// BenchmarkHotPathMetricCheck is BenchmarkHotPathIncrementalCheck with
+// worst_ratio and alpha_if armed beside ε, at limits the stream never
+// crosses: it asserts the //df:hotpath contract on the extrema-form
+// metric evaluation (incEngine.evalLocked and each metric's
+// EvalExtrema), which scripts/alloc_gate.sh requires at 0 allocs/op.
+func BenchmarkHotPathMetricCheck(b *testing.B) {
+	benchCheckedIngest(b,
+		MetricThreshold{Metric: fairmetrics.WorstRatio{}, Threshold: 0},
+		MetricThreshold{Metric: fairmetrics.AlphaIntersectional{Alpha: 0.5}, Threshold: 1},
+	)
+}
+
+// benchCheckedIngest times steady-state checked batched ingest on a
+// small sliding-window watch with the given metric thresholds armed
+// beside an ε limit the stream never reaches.
+func benchCheckedIngest(b *testing.B, metrics ...MetricThreshold) {
 	space := core.MustSpace(
 		core.Attr{Name: "g", Values: []string{"a", "b", "c", "d"}},
 		core.Attr{Name: "h", Values: []string{"0", "1"}},
@@ -28,7 +44,7 @@ func BenchmarkHotPathIncrementalCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := NewWatch(m, 50, 1)
+	w, err := NewWatch(m, 50, 1, metrics...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,6 +68,10 @@ func BenchmarkHotPathIncrementalCheck(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathObserveBatch asserts the //df:hotpath contract on
+// Monitor.ObserveBatch at the benchmark layer: the CI bench smoke
+// parses every BenchmarkHotPath* line and fails unless it reports
+// 0 allocs/op (scripts/alloc_gate.sh).
 func BenchmarkHotPathObserveBatch(b *testing.B) {
 	space := core.MustSpace(core.Attr{Name: "g", Values: []string{"a", "b", "c", "d"}})
 	m, err := New(space, []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 10000}})

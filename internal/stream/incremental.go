@@ -16,9 +16,14 @@ package stream
 //     rebasing exactly like the shards themselves.
 //  3. ε is re-derived from cached per-group rates: only groups the drain
 //     touched are rescanned, against cached per-outcome extrema that
-//     replicate core.Epsilon's scan (including its min-index tie-breaks),
-//     so for the integer-count window policies the incremental result is
-//     bit-identical to the full recompute.
+//     replicate core.CPT.OutcomeExtrema's scan (including its min-index
+//     tie-breaks), so for the integer-count window policies the
+//     incremental result is bit-identical to the full recompute. The
+//     cache is a core.Extrema view, so every core.ExtremaMetric — ε,
+//     the worst-case pairwise gap and ratio, α-intersectional and the
+//     DP gap — is read from it in O(outcomes) with no CPT; only metrics
+//     without an extrema form (subgroup parity) build the aggregate's
+//     CPT, O(cells) once per check.
 //
 // The aggregate is *derived* state: a log overflow, a ReadState restore,
 // or the periodic rebuild interval all trigger a full rebuild from the
@@ -36,9 +41,9 @@ package stream
 // The smoothed estimator is not invariant under the exponential policy's
 // uniform rescale (the α pseudo-count does not decay), so cached extrema
 // cannot survive decay there; the exponential policy instead evaluates
-// ε on the aggregate's CPT (still O(cells), never O(shards × cells)),
-// like every metric other than ε, and does not offer the incremental
-// subset ladder.
+// every metric, ε included, on the aggregate's CPT (still O(cells),
+// never O(shards × cells)), and does not offer the incremental subset
+// ladder.
 
 import (
 	"errors"
@@ -117,28 +122,29 @@ func (l *dirtyLog) record(cell int, t int64) {
 }
 
 // incTable is a running contingency aggregate with cached per-outcome
-// probability extrema: the state from which ε is re-derived after a
-// delta drain without rescanning the whole table. All mutation goes
-// through addCell, which maintains group totals, the supported-group
-// count, and a generation-stamped dirty-group set; refresh then updates
-// the cached extrema for exactly the dirty groups, replicating
-// core.Epsilon's scan semantics (strict replace, so hiG/loG are the
-// minimum index among argmax/argmin — witness-identical to a full scan).
+// probability extrema: the state from which ε and the other extrema-form
+// metrics are re-derived after a delta drain without rescanning the
+// whole table. All mutation goes through addCell, which maintains group
+// totals, the supported-group count, and a generation-stamped
+// dirty-group set; refresh then updates the cached extrema for exactly
+// the dirty groups, replicating core.CPT.OutcomeExtrema's scan (strict
+// replace, so HiG/LoG are the minimum index among argmax/argmin —
+// witness-identical to a full scan).
 type incTable struct {
 	size  int // groups
 	k     int // outcomes
 	kf    float64
 	alpha float64
 
-	agg       []float64 // size×k cells, group-major (same layout as core.Counts)
-	ns        []float64 // per-group totals
-	total     float64
-	supported int // groups with ns > 0
+	agg   []float64 // size×k cells, group-major (same layout as core.Counts)
+	ns    []float64 // per-group totals
+	total float64
 
-	// Cached extrema per outcome over the supported groups. hiG == -1
-	// means no supported groups (hiVal/loVal hold ∓Inf sentinels then).
-	hiVal, loVal []float64
-	hiG, loG     []int32
+	// Extrema is the cache itself, handed to core.ExtremaMetric
+	// evaluation as is: Supported counts the groups with ns > 0, and
+	// HiG == -1 means no supported groups (Hi/Lo hold ∓Inf sentinels
+	// then).
+	core.Extrema
 
 	// Generation-stamped dirty-group set: stamp[g] == gen marks g queued
 	// in dirty[:nDirty]. Marks survive across drains until refresh runs,
@@ -157,10 +163,12 @@ func newIncTable(size, k int, alpha float64) *incTable {
 		alpha: alpha,
 		agg:   make([]float64, size*k),
 		ns:    make([]float64, size),
-		hiVal: make([]float64, k),
-		loVal: make([]float64, k),
-		hiG:   make([]int32, k),
-		loG:   make([]int32, k),
+		Extrema: core.Extrema{
+			Hi:  make([]float64, k),
+			Lo:  make([]float64, k),
+			HiG: make([]int32, k),
+			LoG: make([]int32, k),
+		},
 		stamp: make([]uint32, size),
 		gen:   1,
 		dirty: make([]int32, size),
@@ -171,10 +179,10 @@ func newIncTable(size, k int, alpha float64) *incTable {
 
 func (t *incTable) resetExtrema() {
 	for y := 0; y < t.k; y++ {
-		t.hiVal[y] = math.Inf(-1)
-		t.loVal[y] = math.Inf(1)
-		t.hiG[y] = -1
-		t.loG[y] = -1
+		t.Hi[y] = math.Inf(-1)
+		t.Lo[y] = math.Inf(1)
+		t.HiG[y] = -1
+		t.LoG[y] = -1
 	}
 }
 
@@ -183,7 +191,7 @@ func (t *incTable) reset() {
 	clear(t.agg)
 	clear(t.ns)
 	t.total = 0
-	t.supported = 0
+	t.Supported = 0
 	clear(t.stamp)
 	t.gen = 1
 	t.nDirty = 0
@@ -204,10 +212,10 @@ func (t *incTable) addCell(cell int, d float64) {
 	t.total += d
 	if old > 0 {
 		if t.ns[g] <= 0 {
-			t.supported--
+			t.Supported--
 		}
 	} else if t.ns[g] > 0 {
-		t.supported++
+		t.Supported++
 	}
 	if t.stamp[g] != t.gen {
 		t.stamp[g] = t.gen
@@ -242,15 +250,15 @@ func (t *incTable) refresh() {
 }
 
 // updateGroup folds one group's new state into the cached extrema,
-// preserving the invariant that hiG/loG are the minimum index among
-// argmax/argmin over supported groups — the witness core.Epsilon's
-// ascending strict-replace scan produces.
+// preserving the invariant that HiG/LoG are the minimum index among
+// argmax/argmin over supported groups — the witness
+// core.CPT.OutcomeExtrema's ascending strict-replace scan produces.
 func (t *incTable) updateGroup(g int) {
 	gi := int32(g)
 	if t.ns[g] <= 0 {
 		// Lost support: only matters if it was a cached extremum.
 		for y := 0; y < t.k; y++ {
-			if t.hiG[y] == gi || t.loG[y] == gi {
+			if t.HiG[y] == gi || t.LoG[y] == gi {
 				t.rescan(y)
 			}
 		}
@@ -258,36 +266,36 @@ func (t *incTable) updateGroup(g int) {
 	}
 	for y := 0; y < t.k; y++ {
 		p := t.prob(g, y)
-		if t.hiG[y] == -1 {
+		if t.HiG[y] == -1 {
 			// First supported group this outcome has seen.
-			t.hiVal[y], t.hiG[y] = p, gi
-			t.loVal[y], t.loG[y] = p, gi
+			t.Hi[y], t.HiG[y] = p, gi
+			t.Lo[y], t.LoG[y] = p, gi
 			continue
 		}
-		if t.hiG[y] == gi {
-			if p >= t.hiVal[y] {
-				t.hiVal[y] = p
+		if t.HiG[y] == gi {
+			if p >= t.Hi[y] {
+				t.Hi[y] = p
 			} else {
 				t.rescan(y) // the max dropped; someone else may lead now
 				continue
 			}
-		} else if p > t.hiVal[y] || (p == t.hiVal[y] && gi < t.hiG[y]) {
-			t.hiVal[y], t.hiG[y] = p, gi
+		} else if p > t.Hi[y] || (p == t.Hi[y] && gi < t.HiG[y]) {
+			t.Hi[y], t.HiG[y] = p, gi
 		}
-		if t.loG[y] == gi {
-			if p <= t.loVal[y] {
-				t.loVal[y] = p
+		if t.LoG[y] == gi {
+			if p <= t.Lo[y] {
+				t.Lo[y] = p
 			} else {
 				t.rescan(y) // the min rose; someone else may trail now
 			}
-		} else if p < t.loVal[y] || (p == t.loVal[y] && gi < t.loG[y]) {
-			t.loVal[y], t.loG[y] = p, gi
+		} else if p < t.Lo[y] || (p == t.Lo[y] && gi < t.LoG[y]) {
+			t.Lo[y], t.LoG[y] = p, gi
 		}
 	}
 }
 
 // rescan recomputes one outcome's extrema from scratch, mirroring
-// core.Epsilon's per-outcome scan exactly.
+// core.CPT.OutcomeExtrema exactly.
 func (t *incTable) rescan(y int) {
 	hiG, loG := int32(-1), int32(-1)
 	hiP, loP := math.Inf(-1), math.Inf(1)
@@ -303,44 +311,8 @@ func (t *incTable) rescan(y int) {
 			loP, loG = p, int32(g)
 		}
 	}
-	t.hiVal[y], t.hiG[y] = hiP, hiG
-	t.loVal[y], t.loG[y] = loP, loG
-}
-
-// epsilonResult derives ε from the cached extrema, replicating
-// core.Epsilon over the equivalent CPT: same outcome order, same skip of
-// all-zero outcomes, same early +Inf return on the first zero-versus-
-// positive pair, same strict improvement rule (first outcome wins ties).
-// refresh must have run since the last mutation.
-func (t *incTable) epsilonResult() (core.EpsilonResult, error) {
-	if t.supported < 2 {
-		return core.EpsilonResult{}, degenerateSupportErr(t.supported)
-	}
-	res := core.EpsilonResult{Epsilon: 0, Finite: true}
-	for y := 0; y < t.k; y++ {
-		if !(t.hiVal[y] > 0) {
-			continue // outcome unreachable for all supported groups
-		}
-		if t.loVal[y] == 0 {
-			return core.EpsilonResult{
-				Epsilon: math.Inf(1),
-				Witness: core.Witness{Outcome: y, GroupHi: int(t.hiG[y]), GroupLo: int(t.loG[y])},
-				Finite:  false,
-			}, nil
-		}
-		if d := math.Log(t.hiVal[y]) - math.Log(t.loVal[y]); d > res.Epsilon {
-			res.Epsilon = d
-			res.Witness = core.Witness{Outcome: y, GroupHi: int(t.hiG[y]), GroupLo: int(t.loG[y])}
-		}
-	}
-	return res, nil
-}
-
-// degenerateSupportErr mirrors core's CPT validation failure so callers'
-// errors.Is(err, core.ErrDegenerateSupport) handling is policy-agnostic.
-func degenerateSupportErr(n int) error {
-	return fmt.Errorf("stream: only %d supported groups; need at least two to compare: %w",
-		n, core.ErrDegenerateSupport)
+	t.Hi[y], t.HiG[y] = hiP, hiG
+	t.Lo[y], t.LoG[y] = loP, loG
 }
 
 // cellDelta accumulates pending cell deltas for the subset lattice: a
@@ -767,14 +739,19 @@ func (inc *incEngine) effectiveAt(now int64) float64 {
 }
 
 // evalLocked measures one metric on the aggregate synced at ticket now.
-// Under a window policy ε is derived from the cached extrema (O(dirty
-// groups)); every other metric, and ε under exponential decay, is
-// evaluated on the CPT of the aggregate. mu must be held.
+// Under a window policy a core.ExtremaMetric (ε, the worst-case gap and
+// ratio, α-intersectional, the DP gap) is read from the cached
+// per-outcome extrema: O(dirty groups) for the refresh plus O(outcomes)
+// for the metric, with no CPT. A metric without an extrema form
+// (subgroup parity reads group masses), and every metric under
+// exponential decay, is evaluated on the CPT of the aggregate. mu must
+// be held.
+//
+//df:hotpath
 func (inc *incEngine) evalLocked(m core.Metric, now int64) (core.MetricResult, error) {
-	if _, ok := m.(core.EpsilonMetric); ok && !inc.exp {
+	if em, ok := m.(core.ExtremaMetric); ok && !inc.exp {
 		inc.full.refresh()
-		res, err := inc.full.epsilonResult()
-		return res.AsMetric(), err
+		return em.EvalExtrema(&inc.full.Extrema)
 	}
 	cpt, err := inc.cptLocked(now)
 	if err != nil {
@@ -785,7 +762,8 @@ func (inc *incEngine) evalLocked(m core.Metric, now int64) (core.MetricResult, e
 
 // cptLocked converts the aggregate synced at ticket now to a CPT under
 // the monitor's estimator — O(cells), into buffers pooled on the
-// engine, at most once per sync. The exponential aggregate is scaled to
+// engine, at most once per sync — for the metrics evalLocked cannot
+// read from the cached extrema. The exponential aggregate is scaled to
 // effective counts first; the smoothed estimator is not invariant under
 // that rescale. mu must be held.
 func (inc *incEngine) cptLocked(now int64) (*core.CPT, error) {
@@ -956,11 +934,11 @@ func (inc *incEngine) ladderLocked() ([]core.SubsetEpsilon, error) {
 			nd := inc.nodes[mask]
 			t, sp = nd.tab, nd.sub
 		}
-		res, err := t.epsilonResult()
+		res, err := core.EpsilonMetric{}.EvalExtrema(&t.Extrema)
 		if err != nil {
 			return nil, fmt.Errorf("stream: subset %v: %w", names, err)
 		}
-		out = append(out, core.SubsetEpsilon{Attrs: names, Result: res, Space: sp})
+		out = append(out, core.SubsetEpsilon{Attrs: names, Result: res.AsEpsilon(), Space: sp})
 	}
 	return out, nil
 }

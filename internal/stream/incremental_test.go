@@ -742,12 +742,30 @@ func TestMinEffectiveGateDefersRefresh(t *testing.T) {
 	}
 }
 
-// TestEpsilonOnlyCheckBuildsNoCPT pins the fast path: with only ε armed
-// on a window policy a check never materializes the aggregate's CPT;
-// arming a second metric does.
+// TestEpsilonOnlyCheckBuildsNoCPT pins the fast path: on a window
+// policy a check never materializes the aggregate's CPT while every
+// armed metric has an extrema form (ε alone, or beside worst_gap,
+// worst_ratio, alpha_if or demographic_parity); arming subgroup parity,
+// which reads group masses, does.
 func TestEpsilonOnlyCheckBuildsNoCPT(t *testing.T) {
 	space := incTestSpace(t)
-	for _, metrics := range [][]MetricThreshold{nil, {{Metric: fairmetrics.WorstGap{}, Threshold: 2}}} {
+	for _, metric := range []core.Metric{
+		nil,
+		fairmetrics.WorstGap{},
+		fairmetrics.WorstRatio{},
+		fairmetrics.AlphaIntersectional{Alpha: 0.5},
+		fairmetrics.DemographicParity{},
+		fairmetrics.SubgroupParity{},
+	} {
+		var metrics []MetricThreshold
+		if metric != nil {
+			// Unreachable limits, so every check evaluates the metric.
+			limit := 2.0
+			if !metric.HigherIsWorse() {
+				limit = -1
+			}
+			metrics = []MetricThreshold{{Metric: metric, Threshold: limit}}
+		}
 		m, err := New(space, []string{"no", "yes"}, Config{Policy: Sliding{Window: 1024, Buckets: 4}, Alpha: 0.5, Shards: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -761,8 +779,257 @@ func TestEpsilonOnlyCheckBuildsNoCPT(t *testing.T) {
 		inc.mu.Lock()
 		built := inc.cpt != nil
 		inc.mu.Unlock()
-		if built != (len(metrics) > 0) {
-			t.Errorf("%d metric thresholds: CPT built = %v", len(metrics), built)
+		_, extrema := metric.(core.ExtremaMetric)
+		if want := metric != nil && !extrema; built != want {
+			t.Errorf("metric %v: CPT built = %v, want %v", metric, built, want)
+		}
+	}
+}
+
+// equivMetrics are the metrics evalLocked serves, by vocabulary size:
+// every registered metric on a binary vocabulary, the ones defined on
+// any vocabulary otherwise.
+func equivMetrics(k int) []core.Metric {
+	if k != 2 {
+		return []core.Metric{core.DFEpsilon, fairmetrics.WorstGap{}}
+	}
+	return []core.Metric{
+		core.DFEpsilon,
+		fairmetrics.WorstGap{},
+		fairmetrics.WorstRatio{},
+		fairmetrics.AlphaIntersectional{Alpha: 0.5},
+		fairmetrics.SubgroupParity{},
+		fairmetrics.DemographicParity{},
+	}
+}
+
+// evalPair holds one metric list's results through both paths.
+type evalPair struct {
+	inc, full       []core.MetricResult
+	incErr, fullErr []error
+}
+
+// evalBoth measures every metric twice on a quiesced monitor: through
+// the incremental engine's evalLocked after one sync, and through
+// m.Eval on the CPT of a shard-merge snapshot at the same ticket (the
+// CheckFull path).
+func evalBoth(t *testing.T, m *Monitor, metrics []core.Metric) evalPair {
+	t.Helper()
+	var p evalPair
+	now := m.ticket.Load()
+	e := m.ensureInc()
+	e.mu.Lock()
+	e.sync(now)
+	for _, mt := range metrics {
+		r, err := e.evalLocked(mt, now)
+		p.inc, p.incErr = append(p.inc, r), append(p.incErr, err)
+	}
+	e.mu.Unlock()
+	snap := core.MustCounts(m.space, m.outcomes)
+	cpt := core.MustCPT(m.space, m.outcomes)
+	if err := m.eng.snapshotInto(snap, now); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.EstimateInto(cpt, m.alpha); err != nil {
+		t.Fatal(err)
+	}
+	for _, mt := range metrics {
+		r, err := mt.Eval(cpt)
+		p.full, p.fullErr = append(p.full, r), append(p.fullErr, err)
+	}
+	return p
+}
+
+// sameResults asserts that evalBoth's two sides agree metric by metric:
+// the same error class (none, or degenerate support), the same Finite
+// flag, and with tol 0 bit-identical values and equal witnesses. With
+// tol > 0 (exponential decay, whose aggregate sums weights in another
+// order than the shard merge) values agree within tol relative and
+// witnesses are not compared: a binary table's two outcome gaps are
+// equal in exact arithmetic, so rounding alone picks worst_gap's
+// witness outcome. It returns how many results were degenerate.
+func sameResults(t *testing.T, ctx string, metrics []core.Metric, tol float64, p evalPair) int {
+	t.Helper()
+	degenerate := 0
+	for j, mt := range metrics {
+		gi, gf := p.incErr[j], p.fullErr[j]
+		if (gi == nil) != (gf == nil) || errors.Is(gi, core.ErrDegenerateSupport) != errors.Is(gf, core.ErrDegenerateSupport) {
+			t.Fatalf("%s: %s: error mismatch: incremental %v, full %v", ctx, mt.Key(), gi, gf)
+		}
+		if gi != nil {
+			if !errors.Is(gi, core.ErrDegenerateSupport) {
+				t.Fatalf("%s: %s: unexpected error %v", ctx, mt.Key(), gi)
+			}
+			degenerate++
+			continue
+		}
+		a, b := p.inc[j], p.full[j]
+		same := math.Float64bits(a.Value) == math.Float64bits(b.Value) && a.Witness == b.Witness
+		if tol > 0 {
+			same = a.Value == b.Value || (!math.IsInf(a.Value, 0) && !math.IsInf(b.Value, 0) && relEq(a.Value, b.Value, tol))
+		}
+		if !same || a.Finite != b.Finite {
+			t.Fatalf("%s: %s mismatch:\n  incremental %+v\n  full        %+v", ctx, mt.Key(), a, b)
+		}
+	}
+	return degenerate
+}
+
+// ingestRound feeds one round of mixed ingest over k outcomes with
+// group-biased rates: group 0 only ever draws outcome 0, so the
+// empirical estimator keeps producing zero rates (ε = +Inf), and the
+// positive rate climbs with the group index.
+func ingestRound(t *testing.T, w *Watch, r *rng.RNG, k, round int) {
+	t.Helper()
+	n := 1 + r.Intn(96)
+	groups := make([]int, n)
+	outcomes := make([]int, n)
+	for i := range groups {
+		g := r.Intn(w.space.Size())
+		y := 0
+		if g != 0 && r.Float64() < 0.2+0.05*float64(g%7) {
+			y = 1 + r.Intn(k-1)
+		}
+		groups[i], outcomes[i] = g, y
+	}
+	switch round % 3 {
+	case 0:
+		if _, _, err := w.ObserveBatchChecked(groups, outcomes); err != nil {
+			t.Fatal(err)
+		}
+	case 1:
+		if err := w.ObserveBatch(groups, outcomes); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		for i := range groups {
+			if err := w.Observe(groups[i], outcomes[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestExtremaEvalMatchesSnapshotCPT is the equivalence suite for the
+// extrema-form metric path: after every round of ingest, evalLocked on
+// the incremental aggregate — cached extrema for ε, worst_gap,
+// worst_ratio, alpha_if and demographic_parity under a window policy,
+// the pooled CPT for subgroup and for every metric under exponential
+// decay — equals m.Eval on the CPT of a quiesced snapshot at the same
+// ticket: bit-identical values, equal witnesses and the same degenerate
+// error class for tumbling and sliding windows, within 1e-9 relative for
+// exponential decay. Cold starts and tumbling resets pass through the
+// 0- and 1-supported-group states.
+func TestExtremaEvalMatchesSnapshotCPT(t *testing.T) {
+	space := incTestSpace(t)
+	seed := uint64(500)
+	degenerate := 0
+	for _, pc := range []struct {
+		name string
+		pol  Policy
+		tol  float64
+	}{
+		{"tumbling", Tumbling{Window: 256}, 0},
+		{"sliding", Sliding{Window: 512, Buckets: 4}, 0},
+		{"exponential", Exponential{HalfLife: 64}, 1e-9},
+	} {
+		for _, outcomes := range [][]string{{"no", "yes"}, {"low", "mid", "high"}} {
+			for _, alpha := range []float64{0, 0.5} {
+				for _, shards := range []int{1, 4} {
+					seed++
+					name := fmt.Sprintf("%s/k=%d/alpha=%g/shards=%d", pc.name, len(outcomes), alpha, shards)
+					t.Run(name, func(t *testing.T) {
+						m, err := New(space, outcomes, Config{Policy: pc.pol, Alpha: alpha, Shards: shards})
+						if err != nil {
+							t.Fatal(err)
+						}
+						metrics := equivMetrics(len(outcomes))
+						w, err := NewWatch(m, 0, 0, MetricThreshold{Metric: metrics[len(metrics)-1], Threshold: math.Inf(1)})
+						if err != nil {
+							t.Fatal(err)
+						}
+						degenerate += sameResults(t, "empty", metrics, pc.tol, evalBoth(t, m, metrics))
+						r := rng.New(seed)
+						for round := 0; round < 40; round++ {
+							ingestRound(t, w, r, len(outcomes), round)
+							ctx := fmt.Sprintf("round %d", round)
+							degenerate += sameResults(t, ctx, metrics, pc.tol, evalBoth(t, m, metrics))
+						}
+					})
+				}
+			}
+		}
+	}
+	if degenerate == 0 {
+		t.Error("no degenerate-support state was compared")
+	}
+}
+
+// TestExtremaEvalEdgeCases pins the extrema path's values on the edge
+// tables, and their agreement with the CPT path, for both window
+// policies: one supported group (degenerate for every metric), no
+// positive outcome anywhere at alpha 0 (worst_ratio = 1, every gap 0,
+// ε = 0), and a zero rate against a positive one at alpha 0 (ε = +Inf).
+func TestExtremaEvalEdgeCases(t *testing.T) {
+	space := incTestSpace(t)
+	metrics := equivMetrics(2)
+	for _, pol := range []Policy{Tumbling{Window: 4096}, Sliding{Window: 4096, Buckets: 4}} {
+		newMon := func() (*Monitor, *Watch) {
+			m, err := New(space, []string{"no", "yes"}, Config{Policy: pol, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewWatch(m, 10, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, w
+		}
+		value := func(ctx string, m *Monitor, key string) float64 {
+			t.Helper()
+			p := evalBoth(t, m, metrics)
+			if n := sameResults(t, ctx, metrics, 0, p); n != 0 {
+				t.Fatalf("%s: %d degenerate results", ctx, n)
+			}
+			for j, mt := range metrics {
+				if mt.Key() == key {
+					return p.inc[j].Value
+				}
+			}
+			t.Fatalf("no metric %s", key)
+			return 0
+		}
+
+		// One supported group: nothing to compare, under every metric.
+		m, w := newMon()
+		if err := w.ObserveBatch([]int{3, 3, 3}, []int{0, 1, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if n := sameResults(t, "one group", metrics, 0, evalBoth(t, m, metrics)); n != len(metrics) {
+			t.Fatalf("one supported group: %d of %d metrics degenerate", n, len(metrics))
+		}
+
+		// No positive outcome anywhere.
+		m, w = newMon()
+		if err := w.ObserveBatch([]int{0, 1, 2, 5, 5}, []int{0, 0, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		for key, want := range map[string]float64{"worst_ratio": 1, "epsilon": 0, "worst_gap": 0, "demographic_parity": 0, "alpha_if": 0.5} {
+			if got := value("no positive", m, key); got != want {
+				t.Errorf("%T no positive outcome: %s = %v, want %v", pol, key, got, want)
+			}
+		}
+
+		// A zero rate against a positive one.
+		m, w = newMon()
+		if err := w.ObserveBatch([]int{0, 0, 1, 1}, []int{0, 0, 0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if got := value("zero rate", m, "epsilon"); !math.IsInf(got, 1) {
+			t.Errorf("%T zero against positive rate: ε = %v, want +Inf", pol, got)
+		}
+		if got := value("zero rate", m, "worst_ratio"); got != 0 {
+			t.Errorf("%T zero against positive rate: worst_ratio = %v, want 0", pol, got)
 		}
 	}
 }

@@ -24,9 +24,12 @@
 // shards on demand; Watch threshold checks and EpsilonSubsets instead
 // run on an incrementally-maintained aggregate (incremental.go) fed by
 // per-shard dirty-cell logs. A per-batch check syncs that aggregate once
-// and judges every armed threshold against it: window-policy ε costs
-// O(cells touched since the last check), and any other metric (or ε
-// under exponential decay) adds one O(cells) CPT built from the
+// and judges every armed threshold against it. Under a window policy
+// the aggregate caches per-outcome probability extrema, so ε and every
+// other core.ExtremaMetric (worst-case gap and ratio, α-intersectional,
+// DP gap) cost O(cells touched since the last check) plus O(outcomes)
+// each; a metric without an extrema form (subgroup parity), or any
+// metric under exponential decay, adds one O(cells) CPT built from the
 // aggregate — never the O(shards × cells) merge. Results are
 // bit-identical to the full recompute for the integer-count window
 // policies.
@@ -369,10 +372,12 @@ type Watch struct {
 // Building a watch attaches the monitor's incremental engine, and every
 // check judges all thresholds against one sync of it: the shards'
 // dirty-cell logs are drained instead of re-merged. Under a window
-// policy ε comes from cached per-outcome extrema (O(groups the drain
-// touched)); every other metric, and ε under exponential decay, is
-// evaluated on one CPT built per check from the running aggregate
-// (O(cells), never O(shards × buckets × cells)).
+// policy ε and every other core.ExtremaMetric are read from cached
+// per-outcome extrema (O(groups the drain touched), then O(outcomes)
+// per metric, no CPT); a metric without an extrema form (subgroup
+// parity), and every metric under exponential decay, is evaluated on
+// one CPT built per check from the running aggregate (O(cells), never
+// O(shards × buckets × cells)).
 func NewWatch(m *Monitor, threshold, minEffective float64, metrics ...MetricThreshold) (*Watch, error) {
 	if m == nil {
 		return nil, fmt.Errorf("stream: nil monitor")

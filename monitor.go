@@ -149,10 +149,12 @@ type Watch struct {
 // positive and minEffective non-negative; threshold may be 0 — no ε
 // check — when at least one metric threshold is given. Metric
 // thresholds must not be NaN. ε and every metric threshold are judged
-// against the same incrementally-maintained state per check: ε under a
-// window policy from cached per-outcome extrema, every other metric
-// (and ε under exponential decay) from one CPT of the running aggregate
-// per check, O(cells) rather than a merge of every shard.
+// against the same incrementally-maintained state per check. Under a
+// window policy ε, worst_gap, worst_ratio, alpha_if and
+// demographic_parity are read from cached per-outcome extrema in
+// O(outcomes), with no CPT; subgroup (and every metric under
+// exponential decay) reads one CPT of the running aggregate per check,
+// O(cells) rather than a merge of every shard.
 func NewWatch(m *Monitor, threshold, minEffective float64, metrics ...MetricThreshold) (*Watch, error) {
 	if m == nil {
 		return nil, fmt.Errorf("fairness: NewWatch: nil monitor")
